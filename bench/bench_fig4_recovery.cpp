@@ -214,7 +214,8 @@ int main(int argc, char** argv) {
   std::printf("(paper: locate ~450 ms via ~20 track scans of 35,717 tracks)\n");
   json += "\n  ],\n";
 
-  print_heading("Recovery pipeline: depth 1 (serial) vs depth 8, packed tracks (Q = 256)");
+  print_heading(
+      "Recovery pipeline: depth 1 (one read in flight) vs depth 8, packed tracks (Q = 256)");
   {
     const RecoveryRun d1 =
         run_recovery(256, /*write_back=*/true, false, prefill, 1, /*packed_tracks=*/true);
@@ -234,7 +235,7 @@ int main(int argc, char** argv) {
     const double rebuild_speedup = d1.stats.rebuild_time.ms() / d8.stats.rebuild_time.ms();
     const double mount_speedup = d1.mount_ms / d8.mount_ms;
     std::printf("rebuild speedup %.1fx, full-mount speedup %.1fx (one streamed track read "
-                "covers every record on the track; serial pays a rotational wait per record)\n",
+                "covers every record on the track; depth 1 pays a rotational wait per record)\n",
                 rebuild_speedup, mount_speedup);
     char blk[512];
     std::snprintf(blk, sizeof(blk),

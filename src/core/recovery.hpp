@@ -17,21 +17,20 @@
 //     records (payload CRC mismatch — possible only for unacknowledged
 //     final physical writes) are dropped.
 //
-//  3. WRITE BACK pending records to the data disks in ascending key
-//     order. Optional (Fig. 4b): the driver may instead adopt the records
-//     as live state and resume service immediately, since a persistent
-//     copy already exists on the log disk.
+//  3. WRITE BACK pending records to the data disks: the newest content
+//     of every sector, once. Optional (Fig. 4b): the driver may instead
+//     adopt the records as live state and resume service immediately,
+//     since a persistent copy already exists on the log disk.
 //
-// All three phases run as a bounded-depth asynchronous pipeline
+// All three phases run as one bounded-depth asynchronous pipeline
 // (DESIGN.md §12). Reads go through a per-unit io::DeviceQueue so the
-// elevator can order the outstanding window; with pipeline_depth >= 2
-// the locate phase keeps a sliding window of anchor probes in flight,
-// the rebuild phase streams the live arc with whole-track reads parsed
-// out of a read-ahead cache, and the write-back phase dispatches
-// deduplicated contiguous runs concurrently. pipeline_depth == 1
-// reproduces the historical serial recovery command-for-command and is
-// the equivalence baseline: both depths must recover identical pending
-// sets and leave byte-identical images.
+// elevator can order the outstanding window: every unit's locate keeps a
+// sliding window of anchor probes in flight, the rebuild streams the live
+// arc out of a read-ahead track cache, and the write-back dispatches
+// deduplicated contiguous runs concurrently. pipeline_depth is only the
+// per-unit window of reads in flight; 1 means one read at a time and no
+// prefetch. Every depth recovers the same pending set and leaves
+// byte-identical images.
 #pragma once
 
 #include <cstdint>
@@ -86,20 +85,14 @@ struct RecoveryStats {
 class RecoveryManager {
  public:
   struct Options {
-    /// Phase 3 on/off (Fig. 4b: recovery is much slower with write-back).
-    bool write_back = true;
     /// Force the O(N) sequential locate instead of binary search (ablation).
     bool sequential_locate = false;
     /// Probes used to find a binary-search anchor before falling back.
     std::uint32_t anchor_probes = 64;
-    /// Bounded in-flight read window per log unit. 1 reproduces the
-    /// pre-pipeline serial recovery command-for-command (the equivalence
-    /// baseline); >= 2 overlaps anchor probes, streams the rebuild arc
-    /// with whole-track reads, and overlaps write-back runs.
+    /// Bounded in-flight read window per log unit: the anchor-probe
+    /// window, and the rebuild's demand read plus up to depth-1
+    /// ring-backward whole tracks of prefetch. 1 = one read at a time.
     std::uint32_t pipeline_depth = 8;
-    /// Rebuild read-ahead budget in sectors per demand miss
-    /// (0 = auto: pipeline_depth whole tracks).
-    std::uint32_t readahead_sectors = 0;
   };
 
   /// Writes one payload run to a data disk; invoke the completion when
@@ -107,8 +100,7 @@ class RecoveryManager {
   using DataWriteFn = std::function<void(io::DeviceId, disk::Lba, std::span<const std::byte>,
                                          std::function<void()>)>;
 
-  RecoveryManager(sim::Simulator& sim, std::vector<disk::DiskDevice*> log_disks,
-                  DataWriteFn data_write);
+  RecoveryManager(sim::Simulator& sim, std::vector<disk::DiskDevice*> log_disks);
   ~RecoveryManager();
 
   /// Optional observability: per-phase spans ("recovery.locate" /
@@ -123,46 +115,30 @@ class RecoveryManager {
     tid_ = tid;
   }
 
-  /// Late-bind the phase-3 sink (a driver's mount_begin runs locate +
-  /// rebuild without one; its mount_finish wires the data queues in
-  /// before replaying the survivors).
-  void set_data_write(DataWriteFn data_write) { data_write_ = std::move(data_write); }
-
   struct Outcome {
     RecoveryStats stats;
     /// Pending records in ascending key order. Non-empty payloads.
     std::vector<RecoveredRecord> pending;
   };
 
-  /// Run recovery for the crashed epoch (records of *earlier* epochs can
-  /// also be pending when a previous recovery adopted them instead of
-  /// writing them back, so the epoch is an upper bound and ordering uses
-  /// record_key). Drives the simulator until the selected phases complete
-  /// (recovery owns the machine at boot).
-  Outcome run(std::uint32_t target_epoch, const Options& options);
-
-  /// Asynchronous form of run(): starts the pipeline and returns; `done`
-  /// fires (from a device completion) when the selected phases finish.
-  /// Never steps the simulator itself, so a sharded mount can start every
-  /// shard's recovery and let them interleave on virtual time.
+  /// Start phases 1–2 (locate + rebuild) for the crashed epoch and
+  /// return; `done` fires (from a device completion) with the pending
+  /// records. Records of *earlier* epochs can also be pending when a
+  /// previous recovery adopted them instead of writing them back, so the
+  /// epoch is an upper bound and ordering uses record_key. Never steps
+  /// the simulator itself, so a sharded mount can start every shard's
+  /// recovery and let them interleave on virtual time.
   void start(std::uint32_t target_epoch, const Options& options,
              std::function<void(Outcome)> done);
 
-  /// Phase 3 alone: write `pending` back to the data disks in order,
-  /// accumulating into `stats`. Public so a sharded mount can locate +
-  /// rebuild on every shard first (run with write_back=false), apply the
-  /// cross-shard consistency cut, and only then write back the survivors.
-  void write_back(const std::vector<RecoveredRecord>& pending, RecoveryStats& stats,
-                  std::uint32_t pipeline_depth = 1);
-
-  /// Asynchronous phase 3. With pipeline_depth >= 2 the records collapse
-  /// into a newest-content overlay first (each sector written once) and
-  /// the resulting contiguous runs dispatch concurrently through the
-  /// DataWriteFn; depth 1 replays runs one at a time in record order,
-  /// exactly like the serial path. `pending` and `stats` must stay alive
-  /// until `done` fires.
+  /// Phase 3, accumulating into `stats`: the records collapse into a
+  /// newest-content overlay (each sector written once) and the resulting
+  /// contiguous runs dispatch concurrently through `data_write`. Separate
+  /// from start() so a mount can apply a cross-shard consistency cut
+  /// first, or adopt the records instead (Fig. 4b). `pending` and `stats`
+  /// must stay alive until `done` fires.
   void write_back_async(const std::vector<RecoveredRecord>* pending, RecoveryStats* stats,
-                        std::uint32_t pipeline_depth, std::function<void()> done);
+                        DataWriteFn data_write, std::function<void()> done);
 
  private:
   struct Unit {
@@ -180,7 +156,6 @@ class RecoveryManager {
 
   sim::Simulator& sim_;
   std::vector<Unit> units_;
-  DataWriteFn data_write_;
   obs::Obs* obs_ = nullptr;
   std::string metric_prefix_;
   std::uint32_t tid_ = obs::kRecoveryTid;

@@ -231,12 +231,9 @@ void TrailDriver::finish_mount_begin(MountPrep prep, std::function<void(MountPre
   // Phase 3 (write-back) waits for mount_finish so a sharded mount can
   // apply its cross-shard cut first.
   RecoveryManager::Options opts;
-  opts.write_back = false;
   opts.sequential_locate = config_.recovery_sequential_locate;
   opts.pipeline_depth = config_.recovery_pipeline_depth;
-  opts.readahead_sectors = config_.recovery_readahead_sectors;
-  recovery_ =
-      std::make_unique<RecoveryManager>(sim_, log_devices(), RecoveryManager::DataWriteFn{});
+  recovery_ = std::make_unique<RecoveryManager>(sim_, log_devices());
   recovery_->attach_obs(obs_, scope_.metric_prefix, scope_.recovery_tid);
   auto shared_prep = std::make_shared<MountPrep>(std::move(prep));
   recovery_->start(shared_prep->max_epoch, opts,
@@ -327,12 +324,10 @@ void TrailDriver::mf_after_cut(std::shared_ptr<MountFinishState> st) {
     // manager usually already exists (mount_begin's recovery); a direct
     // mount_finish with an externally built prep creates it here.
     if (!recovery_) {
-      recovery_ =
-          std::make_unique<RecoveryManager>(sim_, log_devices(), RecoveryManager::DataWriteFn{});
+      recovery_ = std::make_unique<RecoveryManager>(sim_, log_devices());
       recovery_->attach_obs(obs_, scope_.metric_prefix, scope_.recovery_tid);
     }
-    recovery_->set_data_write(make_recovery_data_write());
-    recovery_->write_back_async(&st->kept, &last_recovery_, config_.recovery_pipeline_depth,
+    recovery_->write_back_async(&st->kept, &last_recovery_, make_recovery_data_write(),
                                 [this, st, alive = alive_]() mutable {
                                   if (!*alive) return;
                                   mf_adopt(std::move(st));
@@ -418,23 +413,9 @@ void TrailDriver::mf_position(std::shared_ptr<MountFinishState> st) {
 }
 
 RecoveryManager::DataWriteFn TrailDriver::make_recovery_data_write() {
-  if (config_.recovery_pipeline_depth <= 1) {
-    // Serial baseline: plain priority-0 writes, one awaited at a time.
-    return [this](io::DeviceId dev, disk::Lba lba, std::span<const std::byte> data,
-                  std::function<void()> done) {
-      io::PendingIo io;
-      io.is_write = true;
-      io.lba = lba;
-      io.count = static_cast<std::uint32_t>(data.size() / disk::kSectorSize);
-      io.data.assign(data.begin(), data.end());
-      io.priority = 0;
-      io.on_complete = std::move(done);
-      data_queue(dev).submit(std::move(io));
-    };
-  }
-  // Pipelined: single-range priority-1 batches, so the write-back
-  // scheduler coalesces adjacent recovery runs into one device command
-  // and CSCAN-orders the sweep across the platter.
+  // Single-range priority-1 batches, so the write-back scheduler coalesces
+  // adjacent recovery runs into one device command and CSCAN-orders the
+  // sweep across the platter.
   return [this](io::DeviceId dev, disk::Lba lba, std::span<const std::byte> data,
                 std::function<void()> done) {
     const auto count = static_cast<std::uint32_t>(data.size() / disk::kSectorSize);

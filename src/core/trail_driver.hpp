@@ -81,14 +81,11 @@ struct TrailConfig {
   /// Force the O(N) sequential locate during recovery (ablation).
   bool recovery_sequential_locate = false;
   /// Bounded in-flight read window per log unit during recovery
-  /// (RecoveryManager::Options::pipeline_depth). 1 reproduces the serial
-  /// one-command-at-a-time recovery exactly; >= 2 overlaps locate probes,
-  /// streams the rebuild arc with whole-track reads, and dispatches
-  /// write-back runs through the batched CSCAN scheduler.
+  /// (RecoveryManager::Options::pipeline_depth): locate probes and
+  /// rebuild reads in flight, including up to depth-1 tracks of
+  /// prefetch. 1 = one read at a time, no prefetch; every depth runs the
+  /// same pipeline and recovers the same state.
   std::uint32_t recovery_pipeline_depth = 8;
-  /// Rebuild read-ahead budget in sectors per demand miss
-  /// (0 = auto: recovery_pipeline_depth whole tracks).
-  std::uint32_t recovery_readahead_sectors = 0;
   /// Write-back pacing (dirty high-watermark): when > 0, a data disk whose
   /// queue holds *only* write-back work defers dispatch until at least
   /// this many dirty sectors are queued, so bursts accumulate more
@@ -431,10 +428,9 @@ class TrailDriver final : public io::BlockDriver {
   void mf_adopt(std::shared_ptr<MountFinishState> st);
   void mf_stamp(std::shared_ptr<MountFinishState> st);
   void mf_position(std::shared_ptr<MountFinishState> st);
-  /// Phase-3 sink bound to the data-disk queues. Depth 1 submits plain
-  /// priority-0 writes (the serial baseline); depth >= 2 submits
-  /// single-range priority-1 batches so the PR-5 write-back scheduler
-  /// coalesces adjacent runs and CSCAN-orders the sweep.
+  /// Phase-3 sink bound to the data-disk queues: single-range priority-1
+  /// batches, so the write-back scheduler coalesces adjacent runs and
+  /// CSCAN-orders the sweep.
   [[nodiscard]] RecoveryManager::DataWriteFn make_recovery_data_write();
   /// TRAIL_AUDIT hook: run_audit(quiescent=true), dump counters into the
   /// attached metrics, throw on errors.

@@ -124,16 +124,6 @@ void DeviceQueue::pump() {
       if (begin_batch(std::move(io))) return;
       continue;  // every sub-range skipped; nothing reached the device
     }
-    if (io.cancelled && io.cancelled()) {
-      // Superseded while queued (Trail §4.2 skips such write-backs). Its
-      // completion still fires so bookkeeping can release resources.
-      if (skip_counter_ != nullptr) {
-        skip_counter_->inc();
-        if (obs_->tracer.enabled()) obs_->tracer.instant("io.skip", "io", obs_tid_);
-      }
-      if (io.on_complete) io.on_complete();
-      continue;
-    }
     dispatched_ = true;
     const bool is_write = io.is_write;
     // Stamp `begin` only when tracing is live at dispatch; the completion
@@ -161,7 +151,6 @@ void DeviceQueue::pump() {
       }
     };
     if (io.is_write) {
-      if (io.materialize) io.data = io.materialize();
       device_.write(io.lba, io.count, io.data, std::move(finish));
     } else {
       device_.read(io.lba, io.count, io.out, std::move(finish));

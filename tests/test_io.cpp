@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 
@@ -8,6 +9,7 @@
 #include "io/device_queue.hpp"
 #include "io/scheduler.hpp"
 #include "io/standard_driver.hpp"
+#include "obs/obs.hpp"
 #include "sim/random.hpp"
 
 namespace trail::io {
@@ -85,33 +87,35 @@ TEST_F(DeviceQueueTest, DispatchesOneAtATime) {
   EXPECT_TRUE(queue.idle());
 }
 
-TEST_F(DeviceQueueTest, CancelledRequestSkippedButCompletes) {
+TEST_F(DeviceQueueTest, SettledRangeSkippedAtDispatch) {
+  obs::Obs obs(sim);
   DeviceQueue queue(dev, make_fifo_scheduler());
-  bool blocker_done = false, skipped_done = false;
+  queue.attach_obs(&obs, 0, "io.queue_depth");
+  bool blocker_done = false, skipped = false, done = false;
   queue.submit(make_write(0, [&] { blocker_done = true; }));
-  PendingIo io = make_write(50, [&] { skipped_done = true; });
-  io.cancelled = [] { return true; };
+  PendingIo io;
+  io.is_write = true;
+  io.lba = 50;
+  io.count = 1;
+  io.priority = 1;
+  PendingIo::WbRange range;
+  range.lba = 50;
+  range.count = 1;
+  range.settled = [] { return true; };
+  range.skipped = [&] { skipped = true; };
+  range.fill = [](std::span<std::byte> out) {
+    std::fill(out.begin(), out.end(), std::byte{0xAB});
+  };
+  range.done = [&] { done = true; };
+  io.ranges.push_back(std::move(range));
   queue.submit(std::move(io));
   sim.run();
   EXPECT_TRUE(blocker_done);
-  EXPECT_TRUE(skipped_done) << "skip path must still fire the completion";
-  EXPECT_FALSE(dev.store().is_written(50)) << "cancelled write must not reach the disk";
-}
-
-TEST_F(DeviceQueueTest, MaterializeProvidesDataAtDispatch) {
-  DeviceQueue queue(dev, make_fifo_scheduler());
-  PendingIo io;
-  io.is_write = true;
-  io.lba = 7;
-  io.count = 1;
-  io.materialize = [] {
-    return std::vector<std::byte>(disk::kSectorSize, std::byte{0xAB});
-  };
-  queue.submit(std::move(io));
-  sim.run();
-  std::vector<std::byte> got(disk::kSectorSize);
-  dev.store().read(7, 1, got);
-  EXPECT_EQ(got[10], std::byte{0xAB});
+  EXPECT_TRUE(skipped) << "a settled range must release its enqueue through `skipped`";
+  EXPECT_FALSE(done) << "a settled range never reaches the platter, so `done` must not fire";
+  EXPECT_FALSE(dev.store().is_written(50)) << "settled range must not reach the disk";
+  EXPECT_EQ(obs.metrics.counter("io.dispatch_skips").value(), 1u);
+  EXPECT_TRUE(queue.idle());
 }
 
 TEST_F(DeviceQueueTest, IdleCallbackFires) {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <set>
 
 #include "audit/log_verifier.hpp"
+#include "obs/obs.hpp"
 #include "trail_fixture.hpp"
 
 namespace trail::testing {
@@ -357,11 +359,13 @@ TEST_F(RecoveryTest, SplitRequestSupersededMidFlight) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined-recovery equivalence: the depth knob is a pure performance
-// lever. For the same crashed image, depth 8 (streamed reads, batched
-// write-back) must recover the exact same state as depth 1 (the serial
-// reference walk) — same record counts, same surviving keys, and
-// byte-identical disk images.
+// Recovery equivalence: the depth knob is a pure performance lever. For the
+// same crashed image, depth 1 (one read in flight, no prefetch) and depth 8
+// (windowed probes, streamed prefetch) must recover the exact same state —
+// same record counts, same surviving keys, byte-identical disk images —
+// and that state must match an oracle kept outside the recovery code: the
+// acked records' keys captured before the crash and a shadow of the acked
+// writes in submission order.
 // ---------------------------------------------------------------------------
 
 /// Full snapshot of a platter, with unwritten sectors distinguished from
@@ -389,19 +393,32 @@ DiskSnapshot snapshot_disk(const disk::DiskDevice& dev) {
 
 struct EquivOutcome {
   core::RecoveryStats stats;
+  /// Keys of the acked records, read from the driver before the crash.
+  std::set<std::uint64_t> acked_keys;
   std::set<std::uint64_t> live_keys;
-  DiskSnapshot log_image;
+  std::int64_t max_inflight_reads = 0;
+  std::vector<DiskSnapshot> log_images;
   std::vector<DiskSnapshot> data_images;
+  /// The data images the acked writes imply, applied in submission order
+  /// onto never-written platters.
+  std::vector<DiskSnapshot> shadow_images;
 };
 
-/// Deterministic workload -> crash -> remount at `depth`; everything up
-/// to the remount is identical across calls, so any divergence in the
-/// outcome is the recovery pipeline's doing.
-EquivOutcome run_equivalence_scenario(std::uint32_t depth, bool write_back) {
+/// Deterministic workload -> crash -> remount at `depth` over `log_units`
+/// log disks; everything up to the remount is identical across calls, so
+/// any divergence in the outcome is the recovery pipeline's doing.
+EquivOutcome run_equivalence_scenario(std::uint32_t depth, bool write_back,
+                                      std::size_t log_units = 1) {
   sim::Simulator sim;
+  obs::Obs obs(sim);
   const disk::DiskProfile profile = disk::small_test_disk();
-  disk::DiskDevice log_disk(sim, profile);
-  core::format_log_disk(log_disk);
+  std::vector<std::unique_ptr<disk::DiskDevice>> log_disks;
+  std::vector<disk::DiskDevice*> logs;
+  for (std::size_t i = 0; i < log_units; ++i) {
+    log_disks.push_back(std::make_unique<disk::DiskDevice>(sim, profile));
+    core::format_log_disk(*log_disks.back());
+    logs.push_back(log_disks.back().get());
+  }
   std::vector<std::unique_ptr<disk::DiskDevice>> data_disks;
   for (int i = 0; i < 2; ++i)
     data_disks.push_back(std::make_unique<disk::DiskDevice>(sim, profile));
@@ -411,77 +428,127 @@ EquivOutcome run_equivalence_scenario(std::uint32_t depth, bool write_back) {
       if (!sim.step()) throw std::runtime_error("equivalence scenario stalled");
   };
 
-  auto driver = std::make_unique<core::TrailDriver>(sim, log_disk, core::TrailConfig{});
+  EquivOutcome out;
+  for (auto& d : data_disks) {
+    const auto total = static_cast<std::size_t>(d->store().total_sectors());
+    out.shadow_images.push_back(
+        DiskSnapshot{std::vector<std::byte>(total * kSectorSize), std::vector<bool>(total)});
+  }
+
+  auto driver = std::make_unique<core::TrailDriver>(sim, logs, core::TrailConfig{});
   std::vector<io::DeviceId> devices;
   for (auto& d : data_disks) devices.push_back(driver->add_data_disk(*d));
   driver->mount();
 
   // All writes stay pending (data disks halted), with same-address
-  // rewrites so write-back ordering is observable, then one torn tail.
+  // rewrites so write-back ordering is observable, then an unacked final
+  // write that the crash cuts (torn on the platter, or never started).
   for (auto& d : data_disks) d->crash_halt();
   for (int i = 0; i < 24; ++i) {
     bool acked = false;
+    const std::size_t disk_idx = static_cast<std::size_t>(i) % 2;
+    const auto lba = static_cast<disk::Lba>((i % 6) * 4);
     const auto data = make_pattern(2, 1000 + static_cast<std::uint64_t>(i));
-    driver->submit_write({devices[static_cast<std::size_t>(i) % 2],
-                          static_cast<disk::Lba>((i % 6) * 4)},
-                         2, data, [&] { acked = true; });
+    driver->submit_write({devices[disk_idx], lba}, 2, data, [&] { acked = true; });
     pump(acked);
+    DiskSnapshot& shadow = out.shadow_images[disk_idx];
+    std::copy(data.begin(), data.end(),
+              shadow.bytes.begin() + static_cast<std::ptrdiff_t>(lba * kSectorSize));
+    shadow.written[lba] = shadow.written[lba + 1] = true;
   }
+  for (const std::uint64_t key : driver->live_record_keys()) out.acked_keys.insert(key);
   const auto torn = make_pattern(8, 4242);
   driver->submit_write({devices[0], 900}, 8, torn, [] {});
   sim.run_until(sim.now() + profile.command_overhead + profile.sector_time(0) * 3);
   driver->crash();
   driver.reset();
-  log_disk.restart();
-  for (auto& d : data_disks) d->restart();
+  for (auto& d : log_disks) d->restart();
+  for (auto& d : data_disks) {
+    d->restart();
+    // Adopting, keep the records live past the mount: their write-backs
+    // must not drain before live_record_keys() is read.
+    if (!write_back) d->crash_halt();
+  }
 
   core::TrailConfig rcfg;
   rcfg.recovery_pipeline_depth = depth;
   rcfg.recovery_write_back = write_back;
-  driver = std::make_unique<core::TrailDriver>(sim, log_disk, rcfg);
+  driver = std::make_unique<core::TrailDriver>(sim, logs, rcfg);
+  driver->attach_obs(&obs);
   devices.clear();
   for (auto& d : data_disks) devices.push_back(driver->add_data_disk(*d));
   driver->mount();
 
-  EquivOutcome out;
   out.stats = driver->last_recovery();
+  out.max_inflight_reads = obs.metrics.gauge("recovery.inflight_reads").max();
   for (const std::uint64_t key : driver->live_record_keys()) out.live_keys.insert(key);
-  out.log_image = snapshot_disk(log_disk);
+  for (auto& d : log_disks) out.log_images.push_back(snapshot_disk(*d));
+  if (log_units == 1) {  // verify_log follows one disk's chain only
+    const audit::Report fsck = audit::verify_log(*log_disks[0]);
+    EXPECT_TRUE(fsck.ok()) << "depth " << depth << " fsck:\n" << fsck.to_string();
+  }
   for (auto& d : data_disks) out.data_images.push_back(snapshot_disk(*d));
-  const audit::Report fsck = audit::verify_log(log_disk);
-  EXPECT_TRUE(fsck.ok()) << "depth " << depth << " fsck:\n" << fsck.to_string();
-  driver->unmount();
+  if (write_back)
+    driver->unmount();
+  else
+    driver->crash();  // the halted data disks could never drain
   return out;
 }
 
+/// Both depths recovered the same state, and it is the one the acked
+/// writes imply.
+void expect_equivalent(const EquivOutcome& d1, const EquivOutcome& d8, bool write_back) {
+  ASSERT_EQ(d1.acked_keys, d8.acked_keys) << "the pre-crash workloads diverged";
+  ASSERT_GE(d1.acked_keys.size(), 24u);  // a write may split across two records
+  for (const EquivOutcome* out : {&d1, &d8}) {
+    EXPECT_EQ(out->stats.records_found, out->acked_keys.size());
+    // Written back, nothing stays live; adopted, exactly the acked records do.
+    if (write_back)
+      EXPECT_TRUE(out->live_keys.empty());
+    else
+      EXPECT_EQ(out->live_keys, out->acked_keys);
+  }
+  EXPECT_EQ(d1.stats.records_dropped_torn, d8.stats.records_dropped_torn);
+  EXPECT_EQ(d1.stats.oldest_torn_key, d8.stats.oldest_torn_key);
+  EXPECT_EQ(d1.stats.sectors_written_back, d8.stats.sectors_written_back);
+  EXPECT_EQ(d1.log_images, d8.log_images) << "log images diverged";
+  if (!write_back) return;
+  // The overlay writes every sector the acked writes touched, once.
+  std::uint64_t shadow_sectors = 0;
+  for (const DiskSnapshot& shadow : d8.shadow_images)
+    shadow_sectors += static_cast<std::uint64_t>(
+        std::count(shadow.written.begin(), shadow.written.end(), true));
+  EXPECT_EQ(d8.stats.sectors_written_back, shadow_sectors);
+  ASSERT_EQ(d1.data_images.size(), d1.shadow_images.size());
+  for (std::size_t i = 0; i < d1.data_images.size(); ++i) {
+    EXPECT_EQ(d1.data_images[i], d1.shadow_images[i]) << "depth 1, data disk " << i;
+    EXPECT_EQ(d8.data_images[i], d8.shadow_images[i]) << "depth 8, data disk " << i;
+  }
+}
+
 TEST(RecoveryEquivalence, PipelinedRebuildAndWritebackMatchSerial) {
-  const EquivOutcome serial = run_equivalence_scenario(1, /*write_back=*/true);
-  const EquivOutcome pipelined = run_equivalence_scenario(8, /*write_back=*/true);
-  EXPECT_EQ(serial.stats.records_found, pipelined.stats.records_found);
-  EXPECT_EQ(serial.stats.records_dropped_torn, pipelined.stats.records_dropped_torn);
-  EXPECT_EQ(serial.stats.oldest_torn_key, pipelined.stats.oldest_torn_key);
-  // Batched write-back coalesces superseded versions of the same block,
-  // so it may write FEWER physical sectors — never more, and the final
-  // images (checked below) must still agree.
-  EXPECT_LE(pipelined.stats.sectors_written_back, serial.stats.sectors_written_back);
-  EXPECT_GT(pipelined.stats.sectors_written_back, 0u);
-  EXPECT_EQ(serial.live_keys, pipelined.live_keys);
-  EXPECT_EQ(serial.log_image, pipelined.log_image) << "log images diverged";
-  ASSERT_EQ(serial.data_images.size(), pipelined.data_images.size());
-  for (std::size_t i = 0; i < serial.data_images.size(); ++i)
-    EXPECT_EQ(serial.data_images[i], pipelined.data_images[i])
-        << "data disk " << i << " images diverged";
+  const EquivOutcome d1 = run_equivalence_scenario(1, /*write_back=*/true);
+  const EquivOutcome d8 = run_equivalence_scenario(8, /*write_back=*/true);
+  expect_equivalent(d1, d8, /*write_back=*/true);
+  EXPECT_EQ(d1.max_inflight_reads, 1) << "depth 1 keeps one read in flight";
 }
 
 TEST(RecoveryEquivalence, PipelinedAdoptionMatchesSerial) {
   // Fig. 4b shape: skip phase 3 so the recovered records are adopted as
   // pending — the pending set itself must be depth-invariant.
-  const EquivOutcome serial = run_equivalence_scenario(1, /*write_back=*/false);
-  const EquivOutcome pipelined = run_equivalence_scenario(8, /*write_back=*/false);
-  EXPECT_EQ(serial.stats.records_found, pipelined.stats.records_found);
-  EXPECT_EQ(serial.stats.records_dropped_torn, pipelined.stats.records_dropped_torn);
-  EXPECT_EQ(serial.live_keys, pipelined.live_keys);
-  EXPECT_EQ(serial.log_image, pipelined.log_image);
+  const EquivOutcome d1 = run_equivalence_scenario(1, /*write_back=*/false);
+  const EquivOutcome d8 = run_equivalence_scenario(8, /*write_back=*/false);
+  expect_equivalent(d1, d8, /*write_back=*/false);
+}
+
+TEST(RecoveryEquivalence, TwoLogUnitsMatchAcrossDepths) {
+  // The chain crosses log disks via encoded prev pointers; locate runs
+  // both units' machines at once, so depth 1 holds one read per unit.
+  const EquivOutcome d1 = run_equivalence_scenario(1, /*write_back=*/true, /*log_units=*/2);
+  const EquivOutcome d8 = run_equivalence_scenario(8, /*write_back=*/true, /*log_units=*/2);
+  expect_equivalent(d1, d8, /*write_back=*/true);
+  EXPECT_EQ(d1.stats.records_dropped_torn, 1u) << "the crash tore the final record";
+  EXPECT_EQ(d1.max_inflight_reads, 2) << "depth 1 locates both units concurrently";
 }
 
 }  // namespace

@@ -108,7 +108,7 @@ struct ShardedMountRun {
 /// with recovery adopting (no write-back) so the cost under test is the
 /// per-shard locate + rebuild on the N independent log disks.
 ShardedMountRun run_sharded_recovery(std::size_t shards, std::uint32_t pending_records,
-                                     std::uint32_t prefill_writes, bool overlapped,
+                                     std::uint32_t prefill_writes,
                                      std::uint32_t pipeline_depth) {
   core::ShardedConfig config;
   config.shard.track_utilization_threshold = 0.0;
@@ -156,7 +156,6 @@ ShardedMountRun run_sharded_recovery(std::size_t shards, std::uint32_t pending_r
   core::ShardedConfig recover_cfg;
   recover_cfg.shard.recovery_write_back = false;
   recover_cfg.shard.recovery_pipeline_depth = pipeline_depth;
-  recover_cfg.overlapped_mount = overlapped;
   std::vector<disk::DiskDevice*> raw;
   for (auto& d : stack.log_disks) raw.push_back(d.get());
   auto driver2 = std::make_unique<core::ShardedDriver>(stack.sim, raw, recover_cfg);
@@ -248,28 +247,31 @@ int main(int argc, char** argv) {
     json += blk;
   }
 
-  print_heading("4-shard mount: sequential vs overlapped shard recovery (Q = 256)");
+  print_heading("4-shard mount: overlapped vs sum of per-shard recovery (Q = 256)");
   {
     const std::uint32_t shard_prefill = prefill / 2;  // per-array; extents spread it
-    const ShardedMountRun seq =
-        run_sharded_recovery(4, 256, shard_prefill, /*overlapped=*/false, 8);
-    const ShardedMountRun ovl =
-        run_sharded_recovery(4, 256, shard_prefill, /*overlapped=*/true, 8);
+    const ShardedMountRun ovl = run_sharded_recovery(4, 256, shard_prefill, 8);
+    // What the shards' locate + rebuild phases cost one after another: a
+    // lower bound on a mount that recovered the shards in turn (it would
+    // also pay every shard's header reads, stamps and head positioning).
+    double shard_sum_ms = 0.0;
+    for (const trail::core::RecoveryStats& st : ovl.stats.shards)
+      shard_sum_ms += (st.locate_time + st.rebuild_time).ms();
     sim::TablePrinter t({"mount", "virtual time (ms)", "records"});
-    t.add_row({"sequential shards", sim::TablePrinter::fmt(seq.mount_ms, 0),
-               sim::TablePrinter::fmt_int(seq.stats.records_found)});
-    t.add_row({"overlapped shards", sim::TablePrinter::fmt(ovl.mount_ms, 0),
+    t.add_row({"sum over shards (locate + rebuild)", sim::TablePrinter::fmt(shard_sum_ms, 0),
+               sim::TablePrinter::fmt_int(ovl.stats.records_found)});
+    t.add_row({"overlapped shards (full mount)", sim::TablePrinter::fmt(ovl.mount_ms, 0),
                sim::TablePrinter::fmt_int(ovl.stats.records_found)});
     t.print();
-    const double speedup = seq.mount_ms / ovl.mount_ms;
+    const double speedup = shard_sum_ms / ovl.mount_ms;
     std::printf("overlap speedup %.1fx over %zu crashed shards (independent log spindles; "
                 "ideal = shard count)\n",
                 speedup, static_cast<std::size_t>(4));
     char blk[256];
     std::snprintf(blk, sizeof(blk),
-                  "  \"sharded_mount\": {\"shards\": 4, \"q\": 256, \"sequential_ms\": %.3f, "
+                  "  \"sharded_mount\": {\"shards\": 4, \"q\": 256, \"shard_sum_ms\": %.3f, "
                   "\"overlapped_ms\": %.3f, \"speedup\": %.3f}\n}\n",
-                  seq.mount_ms, ovl.mount_ms, speedup);
+                  shard_sum_ms, ovl.mount_ms, speedup);
     json += blk;
   }
   if (json_path != nullptr) {

@@ -113,9 +113,9 @@ EOF
 
 # The Fig. 4 recovery bench ships its own JSON summary (locate/rebuild/
 # write-back breakdown vs Q, the pipeline depth-1-vs-8 comparison, and the
-# sharded overlapped-mount figure); inject it under a top-level "recovery"
-# key in BENCH_engine.json so the recovery-path trajectory is committed
-# alongside the engine benches.
+# 4-shard overlapped mount against the sum of its per-shard recoveries);
+# inject it under a top-level "recovery" key in BENCH_engine.json so the
+# recovery-path trajectory is committed alongside the engine benches.
 inject_recovery() {
   local summary="$1" target="$2"
   python3 - "$summary" "$target" <<'EOF'
@@ -129,7 +129,7 @@ with open(sys.argv[2], "w") as f:
     json.dump(doc, f, indent=1)
     f.write("\n")
 print("recovery pipeline: rebuild %.1fx, mount %.1fx at depth 8; "
-      "4-shard overlapped mount %.1fx"
+      "4-shard overlapped mount %.1fx vs the per-shard sum"
       % (recovery["pipeline"]["rebuild_speedup"],
          recovery["pipeline"]["mount_speedup"],
          recovery["sharded_mount"]["speedup"]))

@@ -200,8 +200,7 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
         outcome.stats.sequential_fallback = true;
         L.stage = Loc::Stage::kSeq;
       } else {
-        L.probes =
-            std::min<std::size_t>(opts.anchor_probes == 0 ? 1 : opts.anchor_probes, L.n);
+        L.probes = std::min(kAnchorProbes, L.n);
       }
     }
     for (std::size_t u = 0; u < loc.size(); ++u) pump_locate(static_cast<std::uint8_t>(u));

@@ -75,7 +75,7 @@ struct RecoveryStats {
   /// shards as the global consistency cut.
   std::uint64_t oldest_torn_key = 0;
   /// Intact records discarded by a sharded mount's cross-shard
-  /// consistency cut (mount_finish's cut_before). Always 0 for a
+  /// consistency cut (mount_finish_async's cut_before). Always 0 for a
   /// standalone driver.
   std::uint32_t records_cut = 0;
   sim::Duration writeback_time;
@@ -84,11 +84,12 @@ struct RecoveryStats {
 
 class RecoveryManager {
  public:
+  /// Probes used to find a binary-search anchor before falling back.
+  static constexpr std::size_t kAnchorProbes = 64;
+
   struct Options {
     /// Force the O(N) sequential locate instead of binary search (ablation).
     bool sequential_locate = false;
-    /// Probes used to find a binary-search anchor before falling back.
-    std::uint32_t anchor_probes = 64;
     /// Bounded in-flight read window per log unit: the anchor-probe
     /// window, and the rebuild's demand read plus up to depth-1
     /// ring-backward whole tracks of prefetch. 1 = one read at a time.

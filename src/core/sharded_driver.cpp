@@ -12,16 +12,14 @@
 namespace trail::core {
 
 ShardedDriver::ShardedDriver(sim::Simulator& sim, std::vector<disk::DiskDevice*> log_disks,
-                             ShardedConfig config)
-    : sim_(sim), config_(std::move(config)) {
+                             const ShardedConfig& config)
+    : sim_(sim) {
   if (log_disks.empty() || log_disks.size() > kMaxLogUnits)
     throw std::invalid_argument("ShardedDriver: 1..15 log disks (one per shard) required");
-  if (config_.extent_sectors < 1)
-    throw std::invalid_argument("ShardedDriver: extent_sectors must be >= 1");
   shards_.reserve(log_disks.size());
   for (std::size_t k = 0; k < log_disks.size(); ++k) {
     if (log_disks[k] == nullptr) throw std::invalid_argument("ShardedDriver: null log disk");
-    TrailConfig shard_config = config_.shard;
+    TrailConfig shard_config = config.shard;
     shard_config.sequence_source = [this] { return next_seq_++; };
     shard_config.on_records_durable = [this, k](std::uint32_t first, std::uint32_t last) {
       on_shard_durable(k, first, last);
@@ -88,23 +86,19 @@ void ShardedDriver::mount() {
   // and derive the array-wide mount parameters — the epoch floor that
   // re-aligns every shard onto one common epoch, and the consistency cut
   // (minimum torn key across shards; see the file comment for why
-  // nothing at or above it was ever acknowledged). With overlapped_mount
-  // every shard's recovery pipeline runs concurrently on virtual time
-  // (independent log spindles), so phase A costs the max over shards.
+  // nothing at or above it was ever acknowledged). Every shard's
+  // recovery pipeline runs concurrently on virtual time (independent log
+  // spindles), so phase A costs the max over shards.
   std::vector<std::optional<TrailDriver::MountPrep>> preps(shards_.size());
   last_recovery_ = ShardedRecoveryStats{};
-  if (config_.overlapped_mount) {
-    std::size_t pending = shards_.size();
-    for (std::size_t k = 0; k < shards_.size(); ++k)
-      shards_[k]->mount_begin_async([&preps, &pending, k](TrailDriver::MountPrep prep) {
-        preps[k].emplace(std::move(prep));
-        --pending;
-      });
-    while (pending > 0)
-      if (!sim_.step()) throw std::runtime_error("ShardedDriver: mount begin stalled");
-  } else {
-    for (std::size_t k = 0; k < shards_.size(); ++k) preps[k].emplace(shards_[k]->mount_begin());
-  }
+  std::size_t pending = shards_.size();
+  for (std::size_t k = 0; k < shards_.size(); ++k)
+    shards_[k]->mount_begin_async([&preps, &pending, k](TrailDriver::MountPrep prep) {
+      preps[k].emplace(std::move(prep));
+      --pending;
+    });
+  while (pending > 0)
+    if (!sim_.step()) throw std::runtime_error("ShardedDriver: mount begin stalled");
   std::uint32_t epoch_floor = 0;
   std::uint64_t cut_before = ~std::uint64_t{0};
   for (const auto& prep : preps) {
@@ -114,21 +108,16 @@ void ShardedDriver::mount() {
       cut_before = std::min(cut_before, prep->stats.oldest_torn_key);
   }
 
-  // Phase B: finish every shard's mount under the common cut. Write-back
-  // targets the shared data disks, but extent routing keeps the shards'
-  // runs disjoint, so overlapping them is image-equivalent to the serial
-  // order.
-  if (config_.overlapped_mount) {
-    std::size_t pending = shards_.size();
-    for (std::size_t k = 0; k < shards_.size(); ++k)
-      shards_[k]->mount_finish_async(std::move(*preps[k]), epoch_floor, cut_before,
-                                     [&pending] { --pending; });
-    while (pending > 0)
-      if (!sim_.step()) throw std::runtime_error("ShardedDriver: mount finish stalled");
-  } else {
-    for (std::size_t k = 0; k < shards_.size(); ++k)
-      shards_[k]->mount_finish(std::move(*preps[k]), epoch_floor, cut_before);
-  }
+  // Phase B: finish every shard's mount under the common cut, again all
+  // at once. Write-back targets the shared data disks, but extent routing
+  // keeps the shards' runs disjoint, so overlapping them is
+  // image-equivalent to any serial order.
+  pending = shards_.size();
+  for (std::size_t k = 0; k < shards_.size(); ++k)
+    shards_[k]->mount_finish_async(std::move(*preps[k]), epoch_floor, cut_before,
+                                   [&pending] { --pending; });
+  while (pending > 0)
+    if (!sim_.step()) throw std::runtime_error("ShardedDriver: mount finish stalled");
 
   last_recovery_.cut_before = cut_before;
   for (const auto& s : shards_) {
@@ -179,8 +168,7 @@ void ShardedDriver::crash() {
 // ---------------------------------------------------------------------------
 
 std::size_t ShardedDriver::shard_of(io::DeviceId dev, disk::Lba lba) const {
-  const std::uint64_t extent = lba / config_.extent_sectors;
-  if (config_.routing == ShardRouting::kStriped) return extent % shards_.size();
+  const std::uint64_t extent = lba / kExtentSectors;
   // splitmix64 finalizer over (device, extent): cheap, well-mixed, and
   // stable across mounts — routing must be a pure function of the
   // address so recovery-time ownership matches run-time ownership.
@@ -198,7 +186,7 @@ std::vector<ShardedDriver::Chunk> ShardedDriver::route(io::DeviceId dev, disk::L
   std::uint32_t off = 0;
   while (off < count) {
     const disk::Lba cur = lba + off;
-    const disk::Lba extent_end = (cur / config_.extent_sectors + 1) * config_.extent_sectors;
+    const disk::Lba extent_end = (cur / kExtentSectors + 1) * kExtentSectors;
     const auto len =
         static_cast<std::uint32_t>(std::min<std::uint64_t>(count - off, extent_end - cur));
     const std::size_t k = shard_of(dev, cur);
@@ -273,11 +261,6 @@ void ShardedDriver::submit_write(io::BlockAddr addr, std::uint32_t count,
               t->finish(req_id, sim_.now());
             }
           };
-          if (!config_.watermark_acks) {
-            finish_ctx();
-            part_done();
-            return;
-          }
           // The shard's durability hook already ran for the physical
           // write that carried this chunk, so shard_durable_high_[k]
           // covers its records. Release once the global watermark has
@@ -392,7 +375,7 @@ void ShardedDriver::run_audit(audit::Report& report, bool quiescent) const {
     for (const std::uint64_t key : shards_[k]->live_record_keys())
       seq.require(owner.emplace(key, k).second,
                   "record key live on two shards (global sequence not unique)");
-  if (quiescent && config_.watermark_acks && !crashed_) {
+  if (quiescent && !crashed_) {
     seq.require(durable_beyond_.empty(),
                 "durable sequences beyond the watermark at a quiesce point");
     seq.require(watermark_ + 1 == next_seq_,

@@ -24,10 +24,11 @@
 // largest W with sequences 1..W all durable on their shards — has
 // reached the acked write's records. A torn record's sequence never
 // became durable, so the watermark never passed it, so nothing at or
-// above the cut was ever acknowledged. (Set
-// ShardedConfig::watermark_acks = false to trade this guarantee for
-// per-shard ack latency; recovery then still merges by sequence but an
-// acked suffix may be cut.)
+// above the cut was ever acknowledged.
+//
+// Every shard owns an independent log disk, so the mount overlaps all
+// shards' recovery on virtual time: array recovery costs roughly the
+// max over shards, not the sum.
 #pragma once
 
 #include <cstdint>
@@ -45,30 +46,7 @@
 
 namespace trail::core {
 
-/// How data-disk extents map to shards.
-enum class ShardRouting : std::uint8_t {
-  /// Hash (device, extent) — spreads any access pattern, including
-  /// sequential scans of one device, across all shards.
-  kExtentHash,
-  /// extent % shard_count per device — deterministic round-robin;
-  /// adjacent extents land on adjacent shards.
-  kStriped,
-};
-
 struct ShardedConfig {
-  ShardRouting routing = ShardRouting::kExtentHash;
-  /// Extent granularity in sectors: [lba, lba+count) writes that stay
-  /// inside one extent never split across shards. Must be >= 1.
-  std::uint32_t extent_sectors = 64;
-  /// Gate client acknowledgements on the global commit watermark (see
-  /// file comment). Off: acks fire at per-shard durability.
-  bool watermark_acks = true;
-  /// Overlap every shard's mount recovery on virtual time (each shard
-  /// owns an independent log disk), so array recovery cost approaches
-  /// the max over shards instead of the sum. Off: shards mount strictly
-  /// one after another (the equivalence baseline). Either way the
-  /// two-phase epoch-floor / consistency-cut protocol is identical.
-  bool overlapped_mount = true;
   /// Template for every shard's TrailDriver (the sequence/durability
   /// hooks are owned by the ShardedDriver and overwritten).
   TrailConfig shard;
@@ -87,9 +65,13 @@ struct ShardedRecoveryStats {
 
 class ShardedDriver final : public io::BlockDriver {
  public:
+  /// Extent granularity in sectors: [lba, lba+count) writes that stay
+  /// inside one extent never split across shards.
+  static constexpr std::uint32_t kExtentSectors = 64;
+
   /// One shard per log disk (1..15, each formatted).
   ShardedDriver(sim::Simulator& sim, std::vector<disk::DiskDevice*> log_disks,
-                ShardedConfig config = {});
+                const ShardedConfig& config = {});
 
   /// Register a data disk with every shard; returns the common DeviceId.
   io::DeviceId add_data_disk(disk::DiskDevice& device);
@@ -102,10 +84,10 @@ class ShardedDriver final : public io::BlockDriver {
   void attach_obs(obs::Obs* obs);
 
   /// Mount every shard under a common epoch and the cross-shard
-  /// consistency cut: begin recovery on all shards (locate + rebuild),
-  /// take the epoch floor and the minimum torn key across the array,
-  /// then finish each shard's mount under that cut. Drives the simulator
-  /// until complete.
+  /// consistency cut: begin recovery on all shards at once (locate +
+  /// rebuild), take the epoch floor and the minimum torn key across the
+  /// array, then finish every shard's mount under that cut. Drives the
+  /// simulator until complete.
   void mount();
 
   /// Clean shutdown: each shard drains its write-back and stamps
@@ -130,9 +112,10 @@ class ShardedDriver final : public io::BlockDriver {
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] TrailDriver& shard(std::size_t k) { return *shards_.at(k); }
   [[nodiscard]] const TrailDriver& shard(std::size_t k) const { return *shards_.at(k); }
-  [[nodiscard]] const ShardedConfig& config() const { return config_; }
 
-  /// The shard owning (device, lba)'s extent.
+  /// The shard owning (device, lba)'s extent: a splitmix64 hash of
+  /// (device, extent), so any access pattern, sequential scans of one
+  /// device included, spreads across all shards.
   [[nodiscard]] std::size_t shard_of(io::DeviceId dev, disk::Lba lba) const;
 
   /// Largest W such that sequences 1..W are all durable on their shards.
@@ -178,7 +161,6 @@ class ShardedDriver final : public io::BlockDriver {
   void quiesce_audit(const char* where) const;
 
   sim::Simulator& sim_;
-  ShardedConfig config_;
   std::vector<std::unique_ptr<TrailDriver>> shards_;
   std::vector<disk::DiskDevice*> data_disks_;
   bool mounted_ = false;

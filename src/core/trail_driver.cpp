@@ -128,13 +128,12 @@ void TrailDriver::attach_obs(obs::Obs* obs, ObsScope scope) {
   h_wb_ranges_ = &obs_->metrics.histogram(p + "wb.batch_ranges");
   h_wb_sectors_ = &obs_->metrics.histogram(p + "wb.batch_sectors");
   g_log_queue_ = &obs_->metrics.gauge(p + "trail.log_queue_depth");
-  trace_queue_depth_name_ = p + "trail.log_queue_depth";
+  trace_queue_depth_name_ = obs_->tracer.intern_name(p + "trail.log_queue_depth");
   if (scope_.request_attribution) {
     obs::ReqTracker::Options opts;
     opts.metric_prefix = p;
     opts.shard = scope_.shard_id;
     opts.trace_tid = scope_.driver_tid;
-    opts.stall_bound = config_.req_stall_bound;
     req_tracker_ = std::make_unique<obs::ReqTracker>(*obs_, std::move(opts));
   } else {
     req_tracker_.reset();
@@ -169,19 +168,13 @@ std::uint32_t TrailDriver::oldest_live_ptr_or(std::uint32_t fallback) const {
 // Mount / unmount / crash
 // ---------------------------------------------------------------------------
 
-void TrailDriver::mount() { mount_finish(mount_begin()); }
-
-TrailDriver::MountPrep TrailDriver::mount_begin() {
+void TrailDriver::mount() {
   std::optional<MountPrep> prep;
   mount_begin_async([&](MountPrep p) { prep.emplace(std::move(p)); });
   run_sim_until([&] { return prep.has_value(); }, "mount begin");
-  return std::move(*prep);
-}
-
-void TrailDriver::mount_finish(MountPrep prep, std::uint32_t epoch_floor,
-                               std::uint64_t cut_before) {
   bool done = false;
-  mount_finish_async(std::move(prep), epoch_floor, cut_before, [&] { done = true; });
+  mount_finish_async(std::move(*prep), /*epoch_floor=*/0, /*cut_before=*/~std::uint64_t{0},
+                     [&] { done = true; });
   run_sim_until([&] { return done; }, "mount finish");
 }
 
@@ -228,7 +221,7 @@ void TrailDriver::finish_mount_begin(MountPrep prep, std::function<void(MountPre
     return;
   }
   // The previous epoch did not unmount cleanly: locate + rebuild (§3.3).
-  // Phase 3 (write-back) waits for mount_finish so a sharded mount can
+  // Phase 3 (write-back) waits for mount_finish_async so a sharded mount can
   // apply its cross-shard cut first.
   RecoveryManager::Options opts;
   opts.sequential_locate = config_.recovery_sequential_locate;
@@ -320,13 +313,8 @@ void TrailDriver::mf_after_cut(std::shared_ptr<MountFinishState> st) {
   last_record_ptr_ =
       encode_log_ptr(youngest.log_unit, static_cast<std::uint32_t>(youngest.header_lba));
   if (config_.recovery_write_back) {
-    // Deferred recovery phase 3 for the surviving block records. The
-    // manager usually already exists (mount_begin's recovery); a direct
-    // mount_finish with an externally built prep creates it here.
-    if (!recovery_) {
-      recovery_ = std::make_unique<RecoveryManager>(sim_, log_devices());
-      recovery_->attach_obs(obs_, scope_.metric_prefix, scope_.recovery_tid);
-    }
+    // Deferred recovery phase 3 for the surviving block records, on the
+    // manager mount_begin_async's locate + rebuild ran on.
     recovery_->write_back_async(&st->kept, &last_recovery_, make_recovery_data_write(),
                                 [this, st, alive = alive_]() mutable {
                                   if (!*alive) return;
@@ -587,31 +575,9 @@ void TrailDriver::quiesce_audit(const char* where) const {
   }
 }
 
-void TrailDriver::position_heads_initial() {
-  for (std::size_t u = 0; u < units_.size(); ++u) {
-    LogUnit& unit = units_[u];
-    const disk::TrackId track = unit.allocator->current();
-    const disk::Lba lba = unit.device->geometry().first_lba_of_track(track);
-    bool done = false;
-    unit.device->read(lba, 1, unit.scratch, [&, track] {
-      unit.predictor->set_reference(sim_.now(), track, 0);
-      done = true;
-    });
-    run_sim_until([&] { return done; }, "initial head positioning");
-  }
-}
-
 void TrailDriver::unmount() {
   if (!mounted_) throw std::logic_error("TrailDriver: not mounted");
-  auto drained = [this] {
-    if (!pending_.empty() || buffers_->pending_records() != 0) return false;
-    for (const LogUnit& unit : units_)
-      if (unit.busy) return false;
-    for (const auto& q : data_queues_)
-      if (!q->idle()) return false;
-    return true;
-  };
-  run_sim_until(drained, "unmount drain");
+  run_sim_until([this] { return drained(); }, "unmount drain");
 #if defined(TRAIL_AUDIT)
   quiesce_audit("unmount");
 #endif
@@ -757,7 +723,7 @@ void TrailDriver::note_log_queue_depth() {
   const auto depth = static_cast<std::int64_t>(pending_.size());
   g_log_queue_->set(depth);
   if (obs_->tracer.enabled())
-    obs_->tracer.counter(trace_queue_depth_name_.c_str(), "log", depth, scope_.driver_tid);
+    obs_->tracer.counter(trace_queue_depth_name_, "log", depth, scope_.driver_tid);
 }
 
 void TrailDriver::release_direct_before(std::uint64_t cookie) {
@@ -1229,18 +1195,19 @@ void TrailDriver::submit_read(io::BlockAddr addr, std::uint32_t count, std::span
 // Drain & idle repositioning
 // ---------------------------------------------------------------------------
 
+bool TrailDriver::drained() const {
+  if (!pending_.empty() || buffers_->pending_records() != 0) return false;
+  for (const LogUnit& unit : units_)
+    if (unit.busy) return false;
+  for (const auto& q : data_queues_)
+    if (!q->idle()) return false;
+  return true;
+}
+
 void TrailDriver::drain(Completion cb) {
-  auto drained = [this] {
-    if (!pending_.empty() || buffers_->pending_records() != 0) return false;
-    for (const LogUnit& unit : units_)
-      if (unit.busy) return false;
-    for (const auto& q : data_queues_)
-      if (!q->idle()) return false;
-    return true;
-  };
   auto alive = alive_;
   auto poll = std::make_shared<std::function<void()>>();
-  *poll = [this, alive, drained, cb = std::move(cb), poll]() mutable {
+  *poll = [this, alive, cb = std::move(cb), poll]() mutable {
     if (!*alive) return;
     if (drained()) {
 #if defined(TRAIL_AUDIT)

@@ -109,11 +109,6 @@ struct TrailConfig {
   /// write carried. A ShardedDriver advances its global commit watermark
   /// here.
   std::function<void(std::uint32_t first_seq, std::uint32_t last_seq)> on_records_durable;
-  /// Stall watchdog bound for request attribution (obs::ReqTracker): a
-  /// single phase of one request lasting longer than this bumps
-  /// `req.stalls.<phase>` and traces an instant. 0 disables the watchdog
-  /// (phase histograms still record).
-  sim::Duration req_stall_bound{0};
 };
 
 struct TrailStats {
@@ -195,10 +190,12 @@ class TrailDriver final : public io::BlockDriver {
   void mount();
 
   // ---- two-phase mount (sharding) ----
-  // mount() is mount_finish(mount_begin()). A ShardedDriver runs
-  // mount_begin on every shard first (locate + rebuild only), computes
-  // the global epoch floor and the cross-shard consistency cut from the
-  // combined outcomes, then finishes each shard under that cut.
+  // mount() runs these two phases back to back. A ShardedDriver starts
+  // mount_begin_async on every shard at once (locate + rebuild only), so
+  // all shards' recovery reads interleave on virtual time, computes the
+  // global epoch floor and the cross-shard consistency cut from the
+  // combined outcomes, then finishes each shard under that cut. Neither
+  // phase steps the simulator: `done` fires from a device completion.
   struct MountPrep {
     bool crashed = false;          // some replica had crash_var == 0
     std::uint32_t max_epoch = 0;   // newest epoch across header replicas
@@ -208,24 +205,14 @@ class TrailDriver final : public io::BlockDriver {
   };
   /// Read the disk headers and, if the previous epoch crashed, locate and
   /// rebuild the pending-record set (recovery phases 1–2; phase 3 waits
-  /// for mount_finish). Drives the simulator until complete.
-  [[nodiscard]] MountPrep mount_begin();
-  /// Complete the mount: discard pending records with key >= cut_before
-  /// (never adopted, never written back — their headers are erased so a
-  /// later recovery cannot resurrect them), write back / adopt the
-  /// survivors per config, stamp epoch max(prep.max_epoch, epoch_floor)+1
-  /// with crash_var = 0, and position the heads.
-  void mount_finish(MountPrep prep, std::uint32_t epoch_floor = 0,
-                    std::uint64_t cut_before = ~std::uint64_t{0});
-
-  // ---- asynchronous two-phase mount (overlapped sharded recovery) ----
-  // Same semantics as mount_begin/mount_finish, but never steps the
-  // simulator: `done` fires from a device completion when the phase
-  // finishes. A ShardedDriver starts every shard's mount_begin_async at
-  // once so all shards' recovery reads interleave on virtual time and
-  // array recovery cost approaches max-over-shards; the sync forms are
-  // these plus a local spin.
+  /// for mount_finish_async).
   void mount_begin_async(std::function<void(MountPrep)> done);
+  /// Complete the mount of a prep from mount_begin_async: discard pending
+  /// records with key >= cut_before (never adopted, never written back —
+  /// their headers are erased so a later recovery cannot resurrect them),
+  /// write back / adopt the survivors per config, stamp epoch
+  /// max(prep.max_epoch, epoch_floor)+1 with crash_var = 0, and position
+  /// the heads.
   void mount_finish_async(MountPrep prep, std::uint32_t epoch_floor, std::uint64_t cut_before,
                           std::function<void()> done);
 
@@ -405,7 +392,9 @@ class TrailDriver final : public io::BlockDriver {
   void on_record_durable(RecordId id);
   void enqueue_writeback(io::DeviceId dev, disk::Lba lba, std::uint32_t count);
   void arm_idle_timer();
-  void position_heads_initial();
+  /// Nothing queued, buffered, in flight on a log unit or queued on a
+  /// data disk: the state drain() waits for and unmount() requires.
+  [[nodiscard]] bool drained() const;
   void attach_data_queue_obs(std::size_t index);
   void note_log_queue_depth();
   [[nodiscard]] io::DeviceQueue& data_queue(io::DeviceId dev);
@@ -489,10 +478,8 @@ class TrailDriver final : public io::BlockDriver {
   /// Request-scoped phase attribution (obs/req.hpp); created by
   /// attach_obs when the scope asks for it.
   std::unique_ptr<obs::ReqTracker> req_tracker_;
-  /// Stable storage for the scoped queue-depth counter-lane name (the
-  /// tracer keeps interned pointers, so the string must outlive it).
-  std::string trace_queue_depth_name_ = "trail.log_queue_depth";
-
+  /// Scoped queue-depth counter-lane name, owned by the tracer.
+  const char* trace_queue_depth_name_ = nullptr;
 
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };

@@ -58,6 +58,13 @@ void EventTracer::set_track_name(std::uint32_t tid, std::string name) {
   track_names_[tid] = std::move(name);
 }
 
+const char* EventTracer::intern_name(std::string_view name) {
+  sync::MutexLock lock(mu_);
+  auto it = owned_names_.find(name);
+  if (it == owned_names_.end()) it = owned_names_.emplace(name).first;
+  return it->c_str();
+}
+
 std::uint32_t EventTracer::intern(const char* s) {
   const auto [it, inserted] = intern_ids_.try_emplace(s, static_cast<std::uint32_t>(interned_.size()));
   if (inserted) interned_.push_back(s);
@@ -230,8 +237,8 @@ void EventTracer::clear() {
   tail_state_ = FieldState{};
   head_state_ = FieldState{};
   cursor_valid_ = false;
-  // The intern table survives (pointers are literals and ids are only
-  // meaningful alongside buffered events, which are gone).
+  // The intern table survives (pointers are literals or owned_names_,
+  // and ids are only meaningful alongside buffered events, which are gone).
 }
 
 namespace {

@@ -24,7 +24,9 @@
 // sequence, keeping exports byte-identical to the uncompressed form.
 //
 // Names and categories are `const char*` and must be string literals
-// (or otherwise outlive the tracer): events store interned pointers.
+// (or otherwise outlive the tracer): events store interned pointers. A
+// name built at run time (a scoped metric prefix, say) goes through
+// intern_name(), which hands back a copy the tracer owns.
 // When the tracer is disabled every emit call is a single predictable
 // branch; ScopedSpan degenerates to storing one null pointer.
 //
@@ -41,7 +43,9 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -76,6 +80,11 @@ class EventTracer {
   /// Name a presentation lane ("log0", "data1", "wal", ...). Metadata
   /// only; survives clear().
   void set_track_name(std::uint32_t tid, std::string name) TRAIL_EXCLUDES(mu_);
+
+  /// A tracer-owned copy of `name`, valid for the tracer's lifetime (it
+  /// survives clear()), for event names built at run time. Equal strings
+  /// return the same pointer.
+  [[nodiscard]] const char* intern_name(std::string_view name) TRAIL_EXCLUDES(mu_);
 
   /// A span [begin, begin+dur), emitted at completion time.
   void complete(const char* name, const char* cat, sim::TimePoint begin, sim::Duration dur,
@@ -154,6 +163,8 @@ class EventTracer {
   // Name/category interning (pointer identity; literals repeat).
   std::vector<const char*> interned_ TRAIL_GUARDED_BY(mu_){nullptr};  // id 0 == none yet
   std::map<const char*, std::uint32_t> intern_ids_ TRAIL_GUARDED_BY(mu_);
+  /// Storage behind intern_name(); set nodes never move.
+  std::set<std::string, std::less<>> owned_names_ TRAIL_GUARDED_BY(mu_);
 
   // Sequential-access cursor for at(): the state needed to decode event
   // index cursor_index_ at byte offset cursor_off_.

@@ -234,6 +234,50 @@ TEST(EventTracer, ExportContainsLaneMetadataAndEvents) {
   EXPECT_EQ(json.find("\"ts\":-"), std::string::npos);
 }
 
+TEST(EventTracer, InternNameOwnsStableCopies) {
+  sim::Simulator sim;
+  EventTracer tracer(sim, 4);
+  std::string built = "shard.2.";
+  built += "trail.log_queue_depth";
+  const char* a = tracer.intern_name(built);
+  built.assign(built.size(), 'x');  // the caller's buffer is not referenced
+  EXPECT_STREQ(a, "shard.2.trail.log_queue_depth");
+  EXPECT_EQ(tracer.intern_name("shard.2.trail.log_queue_depth"), a);  // equal -> same pointer
+  EXPECT_NE(tracer.intern_name("shard.3.trail.log_queue_depth"), a);
+  tracer.clear();
+  EXPECT_STREQ(a, "shard.2.trail.log_queue_depth");  // survives clear()
+}
+
+// A prefixed driver's queue-depth counter lane is named at run time; its
+// events must still read back correctly after the driver is gone (a
+// crashed driver is destroyed and a new one mounted before export).
+TEST(EventTracer, CounterNameOutlivesPrefixedDriver) {
+  sim::Simulator sim;
+  disk::DiskDevice log_disk(sim, disk::small_test_disk());
+  disk::DiskDevice data_disk(sim, disk::small_test_disk());
+  core::format_log_disk(log_disk);
+  obs::Obs obs(sim, 1 << 12);
+  obs.tracer.set_enabled(true);
+  {
+    auto driver = std::make_unique<core::TrailDriver>(sim, log_disk);
+    core::ObsScope scope;
+    scope.metric_prefix = "shard.5.";
+    driver->attach_obs(&obs, scope);
+    const io::DeviceId dev = driver->add_data_disk(data_disk);
+    driver->mount();
+    const std::vector<std::byte> data(2 * disk::kSectorSize, std::byte{0x5A});
+    int acked = 0;
+    for (disk::Lba lba : {0, 10, 20}) driver->submit_write({dev, lba}, 2, data, [&] { ++acked; });
+    while (acked < 3) ASSERT_TRUE(sim.step());
+    driver->unmount();
+  }
+  const std::string json = obs.tracer.export_chrome_json();
+  EXPECT_NE(json.find("{\"name\":\"shard.5.trail.log_queue_depth\",\"cat\":\"log\""),
+            std::string::npos);
+  for (const char c : json)
+    ASSERT_EQ(static_cast<unsigned char>(c) & 0x80u, 0u) << "non-ASCII byte in the export";
+}
+
 // ----------------------------------------------- end-to-end determinism
 
 struct ObsRun {

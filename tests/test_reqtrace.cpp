@@ -286,7 +286,7 @@ struct ShardedReqRig {
   void run_burst(std::uint64_t seed, int writes) {
     sim::Rng rng(seed);
     int acked = 0;
-    const std::uint32_t ext = driver->config().extent_sectors;
+    const std::uint32_t ext = core::ShardedDriver::kExtentSectors;
     for (int i = 0; i < writes; ++i) {
       // 22 extents of 64 sectors stay inside the 1,520-sector test disk.
       const auto extent = static_cast<disk::Lba>(rng.uniform(0, 22));
@@ -335,7 +335,7 @@ TEST(ShardedReqTrace, FourShardPhaseSumsAuditedAtQuiesce) {
 TEST(ShardedReqTrace, CrashAbandonsOpenContexts) {
   ShardedReqRig rig(2);
   sim::Rng rng(5);
-  const std::uint32_t ext = rig.driver->config().extent_sectors;
+  const std::uint32_t ext = core::ShardedDriver::kExtentSectors;
   for (int i = 0; i < 10; ++i) {
     auto data = std::make_shared<std::vector<std::byte>>(make_pattern(1, 99));
     rig.driver->submit_write({rig.dev, static_cast<disk::Lba>(rng.uniform(0, 20)) * ext}, 1,

@@ -1,12 +1,14 @@
-// ShardedDriver: extent routing (hash + striped), request splitting,
+// ShardedDriver: extent-hash routing, request splitting,
 // watermark-gated acknowledgements, cross-shard recovery with the
 // consistency cut, and the array-level audit invariants.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,7 +27,6 @@ namespace {
 
 using core::ShardedConfig;
 using core::ShardedDriver;
-using core::ShardRouting;
 using disk::kSectorSize;
 
 /// A sharded stack over small test disks: one log disk per shard plus
@@ -61,16 +62,12 @@ struct ShardedRig {
     driver->mount();
   }
 
-  /// Async write that records its content into `acked` when (and only
-  /// when) the acknowledgement fires.
-  void write_async(io::BlockAddr addr, std::uint32_t sectors, std::uint64_t seed) {
-    auto data = std::make_shared<std::vector<std::byte>>(make_pattern(sectors, seed));
-    driver->submit_write(addr, sectors, *data, [this, addr, sectors, data] {
-      for (std::uint32_t i = 0; i < sectors; ++i)
-        acked[{addr.device.index(), addr.lba + i}]
-            .assign(data->begin() + static_cast<std::ptrdiff_t>(i) * kSectorSize,
-                    data->begin() + static_cast<std::ptrdiff_t>(i + 1) * kSectorSize);
-    });
+  /// Record an acknowledged write's content into `acked`.
+  void record_acked(io::BlockAddr addr, std::span<const std::byte> data) {
+    for (std::size_t i = 0; i < data.size() / kSectorSize; ++i) {
+      const auto sector = data.subspan(i * kSectorSize, kSectorSize);
+      acked[{addr.device.index(), addr.lba + i}].assign(sector.begin(), sector.end());
+    }
   }
 
   sim::Duration write_sync(io::BlockAddr addr, std::span<const std::byte> data) {
@@ -83,10 +80,7 @@ struct ShardedRig {
       done = sim.now();
     });
     pump(fired);
-    for (std::uint32_t i = 0; i < count; ++i)
-      acked[{addr.device.index(), addr.lba + i}]
-          .assign(data.begin() + static_cast<std::ptrdiff_t>(i) * kSectorSize,
-                  data.begin() + static_cast<std::ptrdiff_t>(i + 1) * kSectorSize);
+    record_acked(addr, data);
     return done - t0;
   }
 
@@ -141,6 +135,52 @@ struct ShardedRig {
   }
 };
 
+/// The first extent-aligned LBA on `dev` that the hash routes to shard `k`.
+disk::Lba first_lba_on_shard(const ShardedDriver& driver, io::DeviceId dev, std::size_t k) {
+  constexpr std::uint32_t ext = ShardedDriver::kExtentSectors;
+  for (std::uint32_t e = 0;; ++e)
+    if (driver.shard_of(dev, static_cast<disk::Lba>(e) * ext) == k)
+      return static_cast<disk::Lba>(e) * ext;
+}
+
+/// Deterministic chained-writer storm, then a power cut and a remount
+/// with `remount`. Six writers each resubmit a 2-sector write to a random
+/// extent as soon as the previous one acks, keeping every shard's log
+/// busy so the cut after `steps` simulator steps lands mid-traffic (often
+/// mid-physical-write). Acks are recorded in rig.acked, so
+/// verify_acked_durable() checks them after the remount. The pre-crash
+/// half depends only on the rig and `steps`.
+void crash_mid_storm(ShardedRig& rig, int steps, const ShardedConfig& remount) {
+  constexpr int kWriters = 6;
+  sim::Rng rng(7 + steps);
+  std::uint64_t seed = 0;
+  // Chains outlive every pending callback (all acks die at the crash),
+  // so the lambdas capture raw pointers — a captured shared_ptr would
+  // make each chain own itself.
+  std::vector<std::unique_ptr<std::function<void()>>> chains;
+  for (int w = 0; w < kWriters; ++w) {
+    chains.push_back(std::make_unique<std::function<void()>>());
+    auto* chain = chains.back().get();
+    *chain = [&rig, &rng, chain, &seed] {
+      const io::BlockAddr addr{rig.devices[static_cast<std::size_t>(rng.uniform(0, 1))],
+                               static_cast<disk::Lba>(rng.uniform(0, 1400))};
+      auto data = std::make_shared<std::vector<std::byte>>(make_pattern(2, ++seed));
+      rig.driver->submit_write(addr, 2, *data, [&rig, addr, data, chain] {
+        rig.record_acked(addr, *data);
+        (*chain)();
+      });
+    };
+    (*chain)();
+  }
+  for (int i = 0; i < steps; ++i) {
+    if (!rig.sim.step()) {
+      ADD_FAILURE() << "workload stalled before the crash point";
+      break;
+    }
+  }
+  rig.crash_and_remount(remount);
+}
+
 // ---------------------------------------------------------------------------
 // Routing
 // ---------------------------------------------------------------------------
@@ -149,7 +189,7 @@ TEST(ShardedRouting, ExtentHashIsDeterministicAndCoversAllShards) {
   ShardedRig rig(4);
   rig.start();
   const io::DeviceId dev = rig.devices[0];
-  const std::uint32_t ext = rig.driver->config().extent_sectors;
+  const std::uint32_t ext = ShardedDriver::kExtentSectors;
   std::set<std::size_t> hit;
   for (std::uint32_t e = 0; e < 64; ++e) {
     const std::size_t k = rig.driver->shard_of(dev, static_cast<disk::Lba>(e) * ext);
@@ -168,23 +208,8 @@ TEST(ShardedRouting, ExtentHashIsDeterministicAndCoversAllShards) {
   EXPECT_GT(diffs, 0u);
 }
 
-TEST(ShardedRouting, StripedRoutingIsRoundRobinPerDevice) {
-  ShardedRig rig(4);
-  ShardedConfig cfg;
-  cfg.routing = ShardRouting::kStriped;
-  rig.start(cfg);
-  const std::uint32_t ext = cfg.extent_sectors;
-  for (std::uint32_t e = 0; e < 16; ++e)
-    EXPECT_EQ(rig.driver->shard_of(rig.devices[0], static_cast<disk::Lba>(e) * ext), e % 4);
-}
-
 TEST(ShardedRouting, RejectsBadConfig) {
   sim::Simulator sim;
-  ShardedConfig cfg;
-  cfg.extent_sectors = 0;
-  disk::DiskDevice log(sim, disk::small_test_disk());
-  core::format_log_disk(log);
-  EXPECT_THROW(ShardedDriver(sim, {&log}, cfg), std::invalid_argument);
   EXPECT_THROW(ShardedDriver(sim, {}, ShardedConfig{}), std::invalid_argument);
 }
 
@@ -208,12 +233,16 @@ TEST(ShardedIo, WriteWithinOneExtentStaysOnOneShard) {
 
 TEST(ShardedIo, WriteSpanningExtentsSplitsAndReadsBack) {
   ShardedRig rig(2);
-  ShardedConfig cfg;
-  cfg.routing = ShardRouting::kStriped;  // extents 0 and 1 on different shards
-  rig.start(cfg);
-  const disk::Lba lba = cfg.extent_sectors - 1;  // last sector of extent 0
+  rig.start();
+  // An extent on shard 0 followed by one on shard 1: the write covers
+  // the last sector of the first and the first sector of the second.
+  const io::DeviceId dev = rig.devices[0];
+  disk::Lba next = ShardedDriver::kExtentSectors;
+  while (rig.driver->shard_of(dev, next - 1) != 0 || rig.driver->shard_of(dev, next) != 1)
+    next += ShardedDriver::kExtentSectors;
+  const disk::Lba lba = next - 1;
   const auto pattern = make_pattern(2, 7);
-  rig.write_sync(io::BlockAddr{rig.devices[0], lba}, pattern);
+  rig.write_sync(io::BlockAddr{dev, lba}, pattern);
 
   // One request, two shards: each logged exactly one chunk.
   EXPECT_EQ(rig.driver->shard(0).stats().requests_logged, 1u);
@@ -221,7 +250,7 @@ TEST(ShardedIo, WriteSpanningExtentsSplitsAndReadsBack) {
   EXPECT_EQ(rig.driver->routed_sectors(0), 1u);
   EXPECT_EQ(rig.driver->routed_sectors(1), 1u);
 
-  const auto got = rig.read_sync(io::BlockAddr{rig.devices[0], lba}, 2);
+  const auto got = rig.read_sync(io::BlockAddr{dev, lba}, 2);
   EXPECT_EQ(std::memcmp(got.data(), pattern.data(), pattern.size()), 0);
   rig.settle();
   rig.expect_clean_audit(/*quiescent=*/true);
@@ -262,39 +291,40 @@ TEST(ShardedIo, AckedWritesSurviveDrainToDataDisks) {
 TEST(ShardedGating, AckWaitsForGlobalWatermark) {
   disk::DiskProfile slow = disk::small_test_disk();
   slow.command_overhead = sim::millis_f(40.0);
-  for (const bool gated : {true, false}) {
-    ShardedRig rig(2, 1, {slow, disk::small_test_disk()});
-    ShardedConfig cfg;
-    cfg.routing = ShardRouting::kStriped;
-    cfg.watermark_acks = gated;
-    rig.start(cfg);
+  ShardedRig rig(2, 1, {slow, disk::small_test_disk()});
+  rig.start();
+  const io::DeviceId dev = rig.devices[0];
 
-    const auto p1 = make_pattern(1, 1);
-    const auto p2 = make_pattern(1, 2);
-    sim::TimePoint ack1{}, ack2{};
-    bool done1 = false, done2 = false;
-    // Extent 0 -> shard 0 (slow), extent 1 -> shard 1 (fast).
-    rig.driver->submit_write(io::BlockAddr{rig.devices[0], 0}, 1, p1, [&] {
-      ack1 = rig.sim.now();
-      done1 = true;
-    });
-    rig.driver->submit_write(io::BlockAddr{rig.devices[0], cfg.extent_sectors}, 1, p2, [&] {
-      ack2 = rig.sim.now();
-      done2 = true;
-    });
-    rig.pump(done1);
-    rig.pump(done2);
-    if (gated) {
-      // W2 could not overtake W1 in the global commit order.
-      EXPECT_GE(ack2, ack1);
-      EXPECT_EQ(rig.driver->committed_watermark(), 2u);
-    } else {
-      // Ungated: the fast shard acknowledges long before the slow one.
-      EXPECT_LT(ack2, ack1);
-    }
-    rig.settle();
-    rig.expect_clean_audit(/*quiescent=*/true);
-  }
+  const auto p1 = make_pattern(1, 1);
+  const auto p2 = make_pattern(1, 2);
+  sim::TimePoint ack1{}, ack2{};
+  bool done1 = false, done2 = false;
+  rig.driver->submit_write(io::BlockAddr{dev, first_lba_on_shard(*rig.driver, dev, 0)}, 1, p1,
+                           [&] {
+                             ack1 = rig.sim.now();
+                             done1 = true;
+                           });
+  rig.driver->submit_write(io::BlockAddr{dev, first_lba_on_shard(*rig.driver, dev, 1)}, 1, p2,
+                           [&] {
+                             ack2 = rig.sim.now();
+                             done2 = true;
+                           });
+  // Control: W2 is durable on the fast shard while W1 is still on the
+  // slow one, and the gate holds both acks.
+  while (rig.driver->shard(1).stats().requests_logged == 0) ASSERT_TRUE(rig.sim.step());
+  EXPECT_EQ(rig.driver->shard(1).stats().requests_logged, 1u);
+  EXPECT_EQ(rig.driver->shard(0).stats().requests_logged, 0u);
+  EXPECT_FALSE(done1);
+  EXPECT_FALSE(done2) << "W2 acked before the watermark passed W1";
+  EXPECT_EQ(rig.driver->gated_acks_pending(), 1u);
+
+  rig.pump(done1);
+  rig.pump(done2);
+  // W2 could not overtake W1 in the global commit order.
+  EXPECT_GE(ack2, ack1);
+  EXPECT_EQ(rig.driver->committed_watermark(), 2u);
+  rig.settle();
+  rig.expect_clean_audit(/*quiescent=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -314,39 +344,7 @@ TEST_P(ShardedCrashTest, MergedRecoveryRespectsGlobalSequenceAndCut) {
   ShardedConfig cfg;
   cfg.shard.recovery_write_back = false;  // adopt: recovered records stay visible
   rig.start(cfg);
-
-  // Chained writers hammering random extents keep every shard's log busy
-  // so the crash lands mid-traffic (often mid-physical-write).
-  constexpr int kWriters = 6;
-  sim::Rng rng(7 + param.crash_after_steps);
-  std::uint64_t seed = 0;
-  // Chains outlive every pending callback (all acks die at the crash),
-  // so the lambdas capture raw pointers — a captured shared_ptr would
-  // make each chain own itself.
-  std::vector<std::unique_ptr<std::function<void()>>> chains;
-  for (int w = 0; w < kWriters; ++w) {
-    chains.push_back(std::make_unique<std::function<void()>>());
-    auto* chain = chains.back().get();
-    *chain = [&rig, &rng, chain, &seed] {
-      const auto dev = rig.devices[static_cast<std::size_t>(rng.uniform(0, 1))];
-      const auto lba = static_cast<disk::Lba>(rng.uniform(0, 1400));
-      auto data = std::make_shared<std::vector<std::byte>>(make_pattern(2, ++seed));
-      rig.driver->submit_write(io::BlockAddr{dev, lba}, 2, *data,
-                               [&rig, dev, lba, data, chain] {
-                                 for (std::uint32_t i = 0; i < 2; ++i)
-                                   rig.acked[{dev.index(), lba + i}].assign(
-                                       data->begin() + static_cast<std::ptrdiff_t>(i) * kSectorSize,
-                                       data->begin() +
-                                           static_cast<std::ptrdiff_t>(i + 1) * kSectorSize);
-                                 (*chain)();
-                               });
-    };
-    (*chain)();
-  }
-  for (int i = 0; i < param.crash_after_steps; ++i)
-    ASSERT_TRUE(rig.sim.step()) << "workload stalled before the crash point";
-
-  rig.crash_and_remount(cfg);
+  crash_mid_storm(rig, param.crash_after_steps, cfg);
 
   const core::ShardedRecoveryStats& rec = rig.driver->last_recovery();
   EXPECT_EQ(rec.shards.size(), param.shards);
@@ -387,14 +385,14 @@ INSTANTIATE_TEST_SUITE_P(ShardCountsAndCrashPoints, ShardedCrashTest,
                          });
 
 // ---------------------------------------------------------------------------
-// Overlapped-mount equivalence: overlapping shard recovery on virtual
-// time (and pipelining each shard's reads) is a pure performance lever.
-// For the same crashed images, {overlapped, depth 8} must produce the
-// same merged recovered state as {sequential, depth 1} — same live keys,
-// same consistency cut, and fsck-clean logs.
+// Recovery equivalence: the per-shard pipeline depth is a pure
+// performance lever. For the same crashed images, depth 1 (one read in
+// flight per shard) and depth 8 must produce the same merged recovered
+// state — same chains, same consistency cut, same final data images and
+// fsck findings — and lose no acknowledged write.
 // ---------------------------------------------------------------------------
 
-struct MountEquivOutcome {
+struct RecoveryEquivOutcome {
   std::vector<std::uint32_t> found_per_shard;  // the recovered chains
   std::uint64_t cut_before = 0;
   std::uint32_t records_cut = 0;
@@ -404,43 +402,23 @@ struct MountEquivOutcome {
   std::vector<std::pair<std::vector<std::byte>, std::vector<bool>>> data_images;
   /// Rendered fsck.trail report per log disk. A crash point may legally
   /// leave findings (a dropped torn record's payload sectors stay on the
-  /// platter), but both recovery shapes must report the exact same ones.
+  /// platter), but both depths must report the exact same ones.
   std::vector<std::string> fsck_reports;
 };
 
-/// Deterministic chained-writer storm -> crash at `steps` -> remount with
-/// the given recovery shape; the pre-crash half is identical across calls.
-MountEquivOutcome run_mount_equivalence(std::size_t shards, int steps, bool overlapped,
-                                        std::uint32_t depth) {
+/// Chained-writer storm -> crash at `steps` -> remount at `depth`.
+RecoveryEquivOutcome run_recovery_equivalence(std::size_t shards, int steps,
+                                              std::uint32_t depth) {
   ShardedRig rig(shards, 2);
   ShardedConfig cfg;
   cfg.shard.recovery_write_back = false;
   rig.start(cfg);
-  constexpr int kWriters = 6;
-  sim::Rng rng(7 + steps);
-  std::uint64_t seed = 0;
-  std::vector<std::unique_ptr<std::function<void()>>> chains;
-  for (int w = 0; w < kWriters; ++w) {
-    chains.push_back(std::make_unique<std::function<void()>>());
-    auto* chain = chains.back().get();
-    *chain = [&rig, &rng, chain, &seed] {
-      const auto dev = rig.devices[static_cast<std::size_t>(rng.uniform(0, 1))];
-      const auto lba = static_cast<disk::Lba>(rng.uniform(0, 1400));
-      auto data = std::make_shared<std::vector<std::byte>>(make_pattern(2, ++seed));
-      rig.driver->submit_write(io::BlockAddr{dev, lba}, 2, *data, [chain] { (*chain)(); });
-    };
-    (*chain)();
-  }
-  for (int i = 0; i < steps; ++i)
-    if (!rig.sim.step()) throw std::runtime_error("workload stalled before the crash point");
-
   ShardedConfig rcfg;
   rcfg.shard.recovery_write_back = false;
   rcfg.shard.recovery_pipeline_depth = depth;
-  rcfg.overlapped_mount = overlapped;
-  rig.crash_and_remount(rcfg);
+  crash_mid_storm(rig, steps, rcfg);
 
-  MountEquivOutcome out;
+  RecoveryEquivOutcome out;
   const core::ShardedRecoveryStats& rec = rig.driver->last_recovery();
   out.cut_before = rec.cut_before;
   out.records_cut = rec.records_cut;
@@ -455,6 +433,7 @@ MountEquivOutcome run_mount_equivalence(std::size_t shards, int steps, bool over
   // after mount is timing-dependent — an earlier-mounted shard's paced
   // write-back already drains while later shards still mount — so the
   // equivalence claim is over recovered chains and final images.)
+  EXPECT_FALSE(rig.acked.empty()) << "no write was acknowledged before the crash";
   rig.verify_acked_durable();
   rig.settle();
   for (const auto& dd : rig.data_disks) {
@@ -474,19 +453,19 @@ MountEquivOutcome run_mount_equivalence(std::size_t shards, int steps, bool over
   return out;
 }
 
-struct MountEquivCase {
+struct RecoveryEquivCase {
   std::size_t shards;
   int crash_after_steps;
 };
 
-class OverlappedMountEquivalence : public ::testing::TestWithParam<MountEquivCase> {};
+class ShardedRecoveryEquivalence : public ::testing::TestWithParam<RecoveryEquivCase> {};
 
-TEST_P(OverlappedMountEquivalence, MatchesSequentialSerialRecovery) {
-  const MountEquivCase param = GetParam();
-  const MountEquivOutcome serial =
-      run_mount_equivalence(param.shards, param.crash_after_steps, /*overlapped=*/false, 1);
-  const MountEquivOutcome pipelined =
-      run_mount_equivalence(param.shards, param.crash_after_steps, /*overlapped=*/true, 8);
+TEST_P(ShardedRecoveryEquivalence, Depth1MatchesDepth8) {
+  const RecoveryEquivCase param = GetParam();
+  const RecoveryEquivOutcome serial =
+      run_recovery_equivalence(param.shards, param.crash_after_steps, 1);
+  const RecoveryEquivOutcome pipelined =
+      run_recovery_equivalence(param.shards, param.crash_after_steps, 8);
   EXPECT_EQ(serial.found_per_shard, pipelined.found_per_shard)
       << "recovered chains diverged";
   EXPECT_EQ(serial.cut_before, pipelined.cut_before);
@@ -503,10 +482,10 @@ TEST_P(OverlappedMountEquivalence, MatchesSequentialSerialRecovery) {
   EXPECT_EQ(serial.fsck_reports, pipelined.fsck_reports) << "fsck findings diverged";
 }
 
-INSTANTIATE_TEST_SUITE_P(ShardCountsAndCrashPoints, OverlappedMountEquivalence,
-                         ::testing::Values(MountEquivCase{2, 90}, MountEquivCase{2, 400},
-                                           MountEquivCase{4, 90}, MountEquivCase{4, 400}),
-                         [](const ::testing::TestParamInfo<MountEquivCase>& info) {
+INSTANTIATE_TEST_SUITE_P(ShardCountsAndCrashPoints, ShardedRecoveryEquivalence,
+                         ::testing::Values(RecoveryEquivCase{2, 90}, RecoveryEquivCase{2, 400},
+                                           RecoveryEquivCase{4, 90}, RecoveryEquivCase{4, 400}),
+                         [](const ::testing::TestParamInfo<RecoveryEquivCase>& info) {
                            return "shards" + std::to_string(info.param.shards) + "_steps" +
                                   std::to_string(info.param.crash_after_steps);
                          });
@@ -523,23 +502,7 @@ TEST(ShardedCrashCoverage, SweepHitsCutAndNoCutCases) {
     ShardedConfig cfg;
     cfg.shard.recovery_write_back = false;
     rig.start(cfg);
-    constexpr int kWriters = 6;
-    sim::Rng rng(7 + param.crash_after_steps);
-    std::uint64_t seed = 0;
-    std::vector<std::unique_ptr<std::function<void()>>> chains;
-    for (int w = 0; w < kWriters; ++w) {
-      chains.push_back(std::make_unique<std::function<void()>>());
-      auto* chain = chains.back().get();
-      *chain = [&rig, &rng, chain, &seed] {
-        const auto dev = rig.devices[static_cast<std::size_t>(rng.uniform(0, 1))];
-        const auto lba = static_cast<disk::Lba>(rng.uniform(0, 1400));
-        auto data = std::make_shared<std::vector<std::byte>>(make_pattern(2, ++seed));
-        rig.driver->submit_write(io::BlockAddr{dev, lba}, 2, *data, [chain] { (*chain)(); });
-      };
-      (*chain)();
-    }
-    for (int i = 0; i < param.crash_after_steps; ++i) ASSERT_TRUE(rig.sim.step());
-    rig.crash_and_remount(cfg);
+    crash_mid_storm(rig, param.crash_after_steps, cfg);
     if (rig.driver->last_recovery().records_cut > 0)
       ++cut_cases;
     else

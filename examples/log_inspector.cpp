@@ -1,8 +1,10 @@
 // log_inspector: fsck.trail — builds a Trail deployment, runs a small
-// mixed workload, crashes it, and then walks the raw log disk with the
-// offline scanner: sector census, per-epoch record counts, utilization
-// histogram, chain verification, and a dump of the live records. A guided
-// tour of the self-describing on-disk format of §3.2.
+// mixed workload, crashes it, and then reads the raw log disk back with
+// the offline verifier (audit::verify_log): disk header, per-epoch record
+// counts, the verifier's sector-class and chain checks, a utilization
+// histogram, and a dump of the live records — all taken from the census
+// the verifier returns. A guided tour of the self-describing on-disk
+// format of §3.2.
 //
 // With `--fsck [report-path]` it instead runs the trail::audit log
 // verifier over the same scenario: once on the crashed image (torn-tail
@@ -18,13 +20,16 @@
 // would print — here exposed directly for postmortem tooling and CI
 // artifacts.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "audit/log_verifier.hpp"
 #include "core/format_tool.hpp"
-#include "core/log_scanner.hpp"
 #include "core/trail_driver.hpp"
 #include "disk/profile.hpp"
 #include "obs/obs.hpp"
@@ -154,40 +159,71 @@ int run_flightdump(const char* path) {
   return obs.flight.size() > 0 ? 0 : 1;
 }
 
+// Render one record of the census for human consumption.
+std::string describe(const audit::ParsedRecord& record, disk::TrackId track) {
+  char buf[256];
+  std::string out;
+  std::snprintf(buf, sizeof buf,
+                "record epoch=%u seq=%u @lba %llu (track %u): %u payload sector%s, %s\n",
+                record.header.epoch, record.header.sequence_id,
+                static_cast<unsigned long long>(record.header_lba), track,
+                record.header.batch_size, record.header.batch_size == 1 ? "" : "s",
+                record.payload_intact ? "payload OK" : "payload TORN");
+  out += buf;
+  std::snprintf(buf, sizeof buf, "  prev_sect=%#x log_head=%#x\n", record.header.prev_sect,
+                record.header.log_head);
+  out += buf;
+  for (std::uint32_t i = 0; i < record.header.batch_size; ++i) {
+    const core::RecordEntry& e = record.header.entries[i];
+    if (e.data_major == core::kDirectLogMajor)
+      std::snprintf(buf, sizeof buf, "  [%2u] log_lba=%u  DIRECT cookie=%u first_byte=%02x\n",
+                    i, e.log_lba, e.data_lba, e.first_data_byte);
+    else
+      std::snprintf(buf, sizeof buf,
+                    "  [%2u] log_lba=%u -> dev(%u,%u) lba=%u first_byte=%02x\n", i, e.log_lba,
+                    e.data_major, e.data_minor, e.data_lba, e.first_data_byte);
+    out += buf;
+  }
+  return out;
+}
+
 int run_tour() {
   Deployment dep;
   run_workload(dep);
   std::printf("*** crashed with pending records; inspecting the raw log disk ***\n\n");
 
-  core::LogScanner scanner(dep.log_disk);
-  const core::ScanReport report = scanner.scan();
+  audit::LogImage image;
+  audit::Report report = audit::verify_log(dep.log_disk, {}, &image);
+  const disk::Geometry& geom = dep.log_disk.geometry();
+  const core::LogDiskHeader disk_header =
+      image.headers.empty() ? core::LogDiskHeader{} : image.headers.front();
 
-  std::printf("formatted          : %s (%d/3 header replicas intact)\n",
-              report.formatted ? "yes" : "NO", report.intact_header_replicas);
+  std::printf("formatted          : %s (%zu/3 header replicas intact)\n",
+              image.headers.empty() ? "NO" : "yes", image.headers.size());
   std::printf("disk header        : epoch=%u crash_var=%u resume_track=%u\n",
-              report.disk_header.epoch, report.disk_header.crash_var,
-              report.disk_header.resume_track);
-  std::printf("sector census      : %llu written (%llu record headers, %llu payload, "
-              "%llu other)\n",
-              static_cast<unsigned long long>(report.sectors_scanned),
-              static_cast<unsigned long long>(report.record_headers),
-              static_cast<unsigned long long>(report.payload_sectors),
-              static_cast<unsigned long long>(report.other_sectors));
-  for (const auto& [epoch, count] : report.records_per_epoch)
+              disk_header.epoch, disk_header.crash_var, disk_header.resume_track);
+  std::printf("%s", report.check("log.sector_classes").to_string().c_str());
+  std::map<std::uint32_t, std::uint64_t> records_per_epoch;
+  for (const audit::ParsedRecord& rec : image.records) ++records_per_epoch[rec.header.epoch];
+  for (const auto& [epoch, count] : records_per_epoch)
     std::printf("  epoch %u: %llu records%s\n", epoch,
                 static_cast<unsigned long long>(count),
-                epoch == report.disk_header.epoch ? "   <- crashed epoch" : " (stale)");
+                epoch == disk_header.epoch ? "   <- crashed epoch" : " (stale)");
 
-  std::printf("chain verification : %s",
-              report.chain_verified ? "OK" : report.chain_error.c_str());
-  std::printf(" (%u records on the live chain)\n", report.chain_length);
+  std::printf("%s", report.check("log.chain").to_string().c_str());
 
-  // Utilization histogram over tracks that carry current-epoch data.
+  // Utilization histogram over tracks that carry crashed-epoch records:
+  // the fraction of each track's sectors holding them (header + payload).
+  std::vector<std::uint32_t> used_sectors(geom.track_count(), 0);
+  for (const audit::ParsedRecord& rec : image.records)
+    if (rec.header.epoch == disk_header.epoch)
+      used_sectors[geom.track_of_lba(rec.header_lba)] += 1 + rec.header.batch_size;
   int buckets[5] = {};
   int touched = 0;
-  for (double u : report.track_utilization) {
-    if (u <= 0) continue;
+  for (disk::TrackId t = 0; t < geom.track_count(); ++t) {
+    if (used_sectors[t] == 0) continue;
     ++touched;
+    const double u = static_cast<double>(used_sectors[t]) / geom.spt_of_track(t);
     ++buckets[std::min(4, static_cast<int>(u * 5))];
   }
   std::printf("track utilization  : %d tracks carry crashed-epoch records\n", touched);
@@ -199,9 +235,9 @@ int run_tour() {
   }
 
   std::printf("\nlive records (youngest first):\n");
-  auto records = scanner.records_of_epoch(report.disk_header.epoch);
-  for (auto it = records.rbegin(); it != records.rend(); ++it)
-    std::printf("%s", core::LogScanner::describe(*it).c_str());
+  for (auto it = image.records.rbegin(); it != image.records.rend(); ++it)
+    if (it->header.epoch == disk_header.epoch)
+      std::printf("%s", describe(*it, geom.track_of_lba(it->header_lba)).c_str());
 
   // Boot a fresh driver: recovery replays the chain we just inspected.
   std::printf("\n*** rebooting: recovery should find the same chain ***\n");

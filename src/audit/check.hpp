@@ -78,6 +78,23 @@ class Check {
   [[nodiscard]] const std::vector<Finding>& findings() const { return findings_; }
   [[nodiscard]] bool ok() const { return errors_ == 0; }
 
+  /// One summary line plus the stored findings.
+  [[nodiscard]] std::string to_string() const {
+    std::string out = name_ + ": " + (ok() ? "ok" : "FAIL") + " (" + std::to_string(passes_) +
+                      " pass, " + std::to_string(errors_) + " error, " +
+                      std::to_string(warnings_) + " warning)\n";
+    for (const Finding& f : findings_) {
+      out += f.severity == Severity::kError ? "  error: " : "  warning: ";
+      out += f.message;
+      if (f.lba != Finding::kNoLba) out += " @lba " + std::to_string(f.lba);
+      out += '\n';
+    }
+    const std::uint64_t dropped = errors_ + warnings_ - findings_.size();
+    if (dropped > 0)
+      out += "  (+" + std::to_string(dropped) + " further findings not stored)\n";
+    return out;
+  }
+
  private:
   std::string name_;
   std::uint64_t passes_ = 0;
@@ -122,24 +139,7 @@ class Report {
   /// Human-readable dump: one line per check plus its stored findings.
   [[nodiscard]] std::string to_string() const {
     std::string out;
-    for (const auto& [name, check] : checks_) {
-      out += name;
-      out += ": ";
-      out += check.ok() ? "ok" : "FAIL";
-      out += " (" + std::to_string(check.passes()) + " pass, " +
-             std::to_string(check.errors()) + " error, " +
-             std::to_string(check.warnings()) + " warning)\n";
-      for (const Finding& f : check.findings()) {
-        out += f.severity == Severity::kError ? "  error: " : "  warning: ";
-        out += f.message;
-        if (f.lba != Finding::kNoLba) out += " @lba " + std::to_string(f.lba);
-        out += '\n';
-      }
-      const std::uint64_t dropped =
-          check.errors() + check.warnings() - check.findings().size();
-      if (dropped > 0)
-        out += "  (+" + std::to_string(dropped) + " further findings not stored)\n";
-    }
+    for (const auto& [name, check] : checks_) out += check.to_string();
     return out;
   }
 

@@ -14,12 +14,6 @@ namespace trail::audit {
 
 namespace {
 
-struct ParsedRecord {
-  core::RecordHeader header;
-  disk::Lba header_lba = 0;
-  bool payload_intact = false;
-};
-
 std::string replica_name(const char* what, int replica) {
   return std::string(what) + " replica " + std::to_string(replica);
 }
@@ -27,7 +21,7 @@ std::string replica_name(const char* what, int replica) {
 }  // namespace
 
 Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry,
-                  const VerifyOptions& options) {
+                  const VerifyOptions& options, LogImage* image) {
   Report report;
   const core::LogDiskLayout layout(geometry);
 
@@ -294,11 +288,20 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
     }
   }
 
+  if (image != nullptr) {
+    std::stable_sort(records.begin(), records.end(),
+                     [](const ParsedRecord& a, const ParsedRecord& b) {
+                       return core::record_key(a.header) < core::record_key(b.header);
+                     });
+    image->headers = std::move(headers);
+    image->records = std::move(records);
+  }
   return report;
 }
 
-Report verify_log(const disk::DiskDevice& device, const VerifyOptions& options) {
-  return verify_log(device.store(), device.geometry(), options);
+Report verify_log(const disk::DiskDevice& device, const VerifyOptions& options,
+                  LogImage* image) {
+  return verify_log(device.store(), device.geometry(), options, image);
 }
 
 }  // namespace trail::audit

@@ -3,11 +3,13 @@
 // registry (one named check per invariant class, with per-sector
 // findings).
 //
-// The verifier reads the raw platter (SectorStore) directly: like the
-// LogScanner it is a maintenance tool that runs with the driver
-// unmounted, but where the scanner stops at the first chain error, the
-// verifier keeps going and reports *every* violation it can attribute —
-// that is what makes it usable as a corruption tripwire in tests and CI.
+// The verifier reads the raw platter (SectorStore) directly: it is a
+// maintenance tool that runs with the driver unmounted, and the only
+// offline reader of a log image. It keeps going past the first chain
+// error and reports *every* violation it can attribute — that is what
+// makes it usable as a corruption tripwire in tests and CI. Callers that
+// render or test an image (the log_inspector tour) ask for the census it
+// parsed through the optional LogImage out-parameter.
 //
 // Checks (see DESIGN.md §9 for the invariant catalogue):
 //   log.disk_header     — replica parse + quorum agreement
@@ -22,7 +24,10 @@
 //                         by the youngest record's log_head
 #pragma once
 
+#include <vector>
+
 #include "audit/check.hpp"
+#include "core/log_format.hpp"
 #include "disk/disk_device.hpp"
 #include "disk/geometry.hpp"
 #include "disk/sector_store.hpp"
@@ -36,15 +41,33 @@ struct VerifyOptions {
   bool allow_torn_tail = true;
 };
 
+/// One record header the census parsed, and where it lives.
+struct ParsedRecord {
+  core::RecordHeader header;
+  disk::Lba header_lba = 0;
+  bool payload_intact = false;  // payload CRC verified
+};
+
+/// What the census read back from the image.
+struct LogImage {
+  /// Intact disk-header replicas, in replica order.
+  std::vector<core::LogDiskHeader> headers;
+  /// Every parsed record header (any epoch), ascending by record_key.
+  std::vector<ParsedRecord> records;
+};
+
 /// Walk a log-disk image and check every §3.2 invariant. `geometry` must
 /// be the disk's real geometry (the reserved replica tracks are derived
-/// from it exactly as the format tool placed them).
+/// from it exactly as the format tool placed them). A non-null `image`
+/// receives the census; the checks and findings do not depend on it.
 [[nodiscard]] Report verify_log(const disk::SectorStore& store,
                                 const disk::Geometry& geometry,
-                                const VerifyOptions& options = {});
+                                const VerifyOptions& options = {},
+                                LogImage* image = nullptr);
 
 /// Convenience overload over a whole device.
 [[nodiscard]] Report verify_log(const disk::DiskDevice& device,
-                                const VerifyOptions& options = {});
+                                const VerifyOptions& options = {},
+                                LogImage* image = nullptr);
 
 }  // namespace trail::audit

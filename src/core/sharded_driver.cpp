@@ -56,16 +56,9 @@ void ShardedDriver::attach_obs(obs::Obs* obs) {
     return;
   }
   for (std::size_t k = 0; k < shards_.size(); ++k) {
-    const std::uint32_t base =
-        obs::kShardTidBase + static_cast<std::uint32_t>(k) * obs::kShardTidStride;
     ObsScope scope;
-    scope.metric_prefix = "shard." + std::to_string(k) + ".";
-    scope.unit_tid_base = base;
-    scope.data_tid_base = base + obs::kDataDiskTidBase;
-    scope.driver_tid = base + obs::kShardDriverTidOffset;
-    scope.recovery_tid = base + obs::kShardRecoveryTidOffset;
-    scope.shard_id = static_cast<std::uint32_t>(k);
-    shards_[k]->attach_obs(obs_, std::move(scope));
+    scope.shard = static_cast<std::uint32_t>(k);
+    shards_[k]->attach_obs(obs_, scope);
     c_routed_[k] = &obs_->metrics.counter("shard." + std::to_string(k) + ".routed_sectors");
   }
   g_imbalance_ = &obs_->metrics.gauge("shard.routing_imbalance_pct");

@@ -99,20 +99,30 @@ io::DeviceId TrailDriver::add_data_disk(disk::DiskDevice& device) {
 }
 
 void TrailDriver::attach_data_queue_obs(std::size_t index) {
-  const auto tid = scope_.data_tid_base + static_cast<std::uint32_t>(index);
-  const std::string label = scope_.metric_prefix + "data" + std::to_string(index);
+  const auto tid = lanes_.data_tid_base + static_cast<std::uint32_t>(index);
+  const std::string label = lanes_.metric_prefix + "data" + std::to_string(index);
   obs_->tracer.set_track_name(tid, label);
   data_queues_[index]->attach_obs(obs_, tid,
-                                  scope_.metric_prefix + "io.queue_depth.data" +
+                                  lanes_.metric_prefix + "io.queue_depth.data" +
                                       std::to_string(index),
-                                  scope_.metric_prefix + "io.service_ns.data" +
+                                  lanes_.metric_prefix + "io.service_ns.data" +
                                       std::to_string(index));
 }
 
 void TrailDriver::attach_obs(obs::Obs* obs, ObsScope scope) {
   if (mounted_) throw std::logic_error("TrailDriver: attach_obs before mount()");
   obs_ = obs;
-  scope_ = std::move(scope);
+  lanes_ = ObsLanes{};
+  if (scope.shard) {
+    const std::uint32_t k = *scope.shard;
+    const std::uint32_t base = obs::kShardTidBase + k * obs::kShardTidStride;
+    lanes_ = ObsLanes{.metric_prefix = "shard." + std::to_string(k) + ".",
+                      .unit_tid_base = base,
+                      .data_tid_base = base + obs::kDataDiskTidBase,
+                      .driver_tid = base + obs::kShardDriverTidOffset,
+                      .recovery_tid = base + obs::kShardRecoveryTidOffset,
+                      .shard_tag = k};
+  }
   if (obs_ == nullptr) {
     h_sync_write_ = h_phys_write_ = h_batch_ = nullptr;
     h_wb_ranges_ = h_wb_sectors_ = nullptr;
@@ -121,7 +131,7 @@ void TrailDriver::attach_obs(obs::Obs* obs, ObsScope scope) {
     for (auto& q : data_queues_) q->attach_obs(nullptr, 0, "");
     return;
   }
-  const std::string& p = scope_.metric_prefix;
+  const std::string& p = lanes_.metric_prefix;
   h_sync_write_ = &obs_->metrics.histogram(p + "trail.sync_write_ns");
   h_phys_write_ = &obs_->metrics.histogram(p + "trail.physical_write_ns");
   h_batch_ = &obs_->metrics.histogram(p + "trail.batch_requests");
@@ -129,19 +139,19 @@ void TrailDriver::attach_obs(obs::Obs* obs, ObsScope scope) {
   h_wb_sectors_ = &obs_->metrics.histogram(p + "wb.batch_sectors");
   g_log_queue_ = &obs_->metrics.gauge(p + "trail.log_queue_depth");
   trace_queue_depth_name_ = obs_->tracer.intern_name(p + "trail.log_queue_depth");
-  if (scope_.request_attribution) {
+  if (scope.request_attribution) {
     obs::ReqTracker::Options opts;
     opts.metric_prefix = p;
-    opts.shard = scope_.shard_id;
-    opts.trace_tid = scope_.driver_tid;
+    opts.shard = lanes_.shard_tag;
+    opts.trace_tid = lanes_.driver_tid;
     req_tracker_ = std::make_unique<obs::ReqTracker>(*obs_, std::move(opts));
   } else {
     req_tracker_.reset();
   }
-  obs_->tracer.set_track_name(scope_.driver_tid, p + "driver");
-  obs_->tracer.set_track_name(scope_.recovery_tid, p + "recovery");
+  obs_->tracer.set_track_name(lanes_.driver_tid, p + "driver");
+  obs_->tracer.set_track_name(lanes_.recovery_tid, p + "recovery");
   for (std::size_t u = 0; u < units_.size(); ++u)
-    obs_->tracer.set_track_name(scope_.unit_tid_base + static_cast<std::uint32_t>(u),
+    obs_->tracer.set_track_name(lanes_.unit_tid_base + static_cast<std::uint32_t>(u),
                                 p + "log" + std::to_string(u));
   for (std::size_t i = 0; i < data_queues_.size(); ++i) attach_data_queue_obs(i);
 }
@@ -227,7 +237,7 @@ void TrailDriver::finish_mount_begin(MountPrep prep, std::function<void(MountPre
   opts.sequential_locate = config_.recovery_sequential_locate;
   opts.pipeline_depth = config_.recovery_pipeline_depth;
   recovery_ = std::make_unique<RecoveryManager>(sim_, log_devices());
-  recovery_->attach_obs(obs_, scope_.metric_prefix, scope_.recovery_tid);
+  recovery_->attach_obs(obs_, lanes_.metric_prefix, lanes_.recovery_tid);
   auto shared_prep = std::make_shared<MountPrep>(std::move(prep));
   recovery_->start(shared_prep->max_epoch, opts,
                    [shared_prep, done = std::move(done),
@@ -723,7 +733,7 @@ void TrailDriver::note_log_queue_depth() {
   const auto depth = static_cast<std::int64_t>(pending_.size());
   g_log_queue_->set(depth);
   if (obs_->tracer.enabled())
-    obs_->tracer.counter(trace_queue_depth_name_, "log", depth, scope_.driver_tid);
+    obs_->tracer.counter(trace_queue_depth_name_, "log", depth, lanes_.driver_tid);
 }
 
 void TrailDriver::release_direct_before(std::uint64_t cookie) {
@@ -799,7 +809,7 @@ bool TrailDriver::service_on_unit(std::uint8_t unit_id) {
       return true;  // unit now busy repositioning; caller may try others
     }
     if (obs_ != nullptr && obs_->tracer.enabled())
-      obs_->tracer.instant("log.predict_wait", "log", scope_.unit_tid_base + unit_id);
+      obs_->tracer.instant("log.predict_wait", "log", lanes_.unit_tid_base + unit_id);
   }
 
   // ---- Build as many records as queue + free run allow ----
@@ -964,7 +974,7 @@ void TrailDriver::on_physical_write_done(std::uint8_t unit_id, std::uint32_t las
     h_phys_write_->record(span);
     if (obs_->tracer.enabled())
       obs_->tracer.complete("log.append", "log", unit.busy_since, span,
-                            scope_.unit_tid_base + unit_id);
+                            lanes_.unit_tid_base + unit_id);
   }
 
   // Adopt the records as live and pin their payloads; advance per-request
@@ -1044,7 +1054,7 @@ void TrailDriver::switch_track(std::uint8_t unit_id) {
     unit.busy = false;
     ++stats_.log_full_stalls;
     if (obs_ != nullptr && obs_->tracer.enabled())
-      obs_->tracer.instant("log.full_stall", "log", scope_.unit_tid_base + unit_id);
+      obs_->tracer.instant("log.full_stall", "log", lanes_.unit_tid_base + unit_id);
     return;
   }
   ++stats_.track_switches;
@@ -1075,7 +1085,7 @@ void TrailDriver::switch_track(std::uint8_t unit_id) {
                       if (obs_ != nullptr && obs_->tracer.enabled())
                         obs_->tracer.complete("log.track_switch", "log", u.busy_since,
                                               sim_.now() - u.busy_since,
-                                              scope_.unit_tid_base + unit_id);
+                                              lanes_.unit_tid_base + unit_id);
                       service_log_queue();
                     });
 }
@@ -1105,7 +1115,7 @@ void TrailDriver::enqueue_writeback(io::DeviceId dev, disk::Lba lba, std::uint32
   ++stats_.writebacks;
   ++wb_queued_ranges_;
   if (obs_ != nullptr && obs_->tracer.enabled())
-    obs_->tracer.instant_value("wb.enqueue", "wb", count, scope_.driver_tid);
+    obs_->tracer.instant_value("wb.enqueue", "wb", count, lanes_.driver_tid);
 
   io::PendingIo io;
   io.is_write = true;
@@ -1120,7 +1130,7 @@ void TrailDriver::enqueue_writeback(io::DeviceId dev, disk::Lba lba, std::uint32
     if (h_wb_ranges_ != nullptr) h_wb_ranges_->record(nranges);
     if (h_wb_sectors_ != nullptr) h_wb_sectors_->record(sectors);
     if (obs_ != nullptr && obs_->tracer.enabled())
-      obs_->tracer.instant_value("wb.dispatch", "wb", nranges, scope_.driver_tid);
+      obs_->tracer.instant_value("wb.dispatch", "wb", nranges, lanes_.driver_tid);
   };
 
   io::PendingIo::WbRange range;
@@ -1138,7 +1148,7 @@ void TrailDriver::enqueue_writeback(io::DeviceId dev, disk::Lba lba, std::uint32
     ++stats_.writebacks_skipped;
     --wb_queued_ranges_;
     if (obs_ != nullptr && obs_->tracer.enabled())
-      obs_->tracer.instant_value("wb.skip", "wb", count, scope_.driver_tid);
+      obs_->tracer.instant_value("wb.skip", "wb", count, lanes_.driver_tid);
   };
   auto versions = std::make_shared<std::vector<std::uint64_t>>(count);
   range.fill = [this, alive, dev, lba, count, versions](std::span<std::byte> out) {
@@ -1248,7 +1258,7 @@ void TrailDriver::arm_idle_timer() {
                           uu.predictor->set_reference(sim_.now(), track, target);
                           ++stats_.idle_repositions;
                           if (obs_ != nullptr && obs_->tracer.enabled())
-                            obs_->tracer.instant("log.idle_reposition", "log", scope_.unit_tid_base + u);
+                            obs_->tracer.instant("log.idle_reposition", "log", lanes_.unit_tid_base + u);
                           uu.busy = false;
                           if (!pending_.empty()) service_log_queue();
                         });

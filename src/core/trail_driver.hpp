@@ -34,6 +34,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -143,17 +144,13 @@ struct TrailStats {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// Where a driver's observability lands: metric-name prefix plus the
-/// trace-lane (tid) layout. The default scope is the classic single-driver
-/// layout; a ShardedDriver gives shard k the prefix "shard.k." and a
-/// private lane block at obs::kShardTidBase + k * obs::kShardTidStride.
+/// Where a driver's observability lands. Without a shard index it is the
+/// classic single-driver layout; shard k of a ShardedDriver gets the
+/// metric/track prefix "shard.k.", the private trace-lane block at
+/// obs::kShardTidBase + k * obs::kShardTidStride, and flight records
+/// tagged k. The driver derives all of that from the index.
 struct ObsScope {
-  std::string metric_prefix;  // prepended to every metric/track name
-  std::uint32_t unit_tid_base = 0;                      // log-unit lanes
-  std::uint32_t data_tid_base = obs::kDataDiskTidBase;  // data-disk lanes
-  std::uint32_t driver_tid = obs::kDriverTid;
-  std::uint32_t recovery_tid = obs::kRecoveryTid;
-  std::uint32_t shard_id = 0;  // flight-record shard tag
+  std::optional<std::uint32_t> shard;
   /// Request-scoped causal attribution (obs::ReqTracker): per-phase
   /// latency histograms + flight records for every synchronous write.
   /// On by default; benches switch it off to measure its own overhead.
@@ -429,7 +426,17 @@ class TrailDriver final : public io::BlockDriver {
 
   sim::Simulator& sim_;
   TrailConfig config_;
-  ObsScope scope_;
+  // Metric prefix, trace lanes and flight-record tag, derived from
+  // ObsScope::shard by attach_obs(); the defaults are the unsharded ones.
+  struct ObsLanes {
+    std::string metric_prefix;
+    std::uint32_t unit_tid_base = 0;
+    std::uint32_t data_tid_base = obs::kDataDiskTidBase;
+    std::uint32_t driver_tid = obs::kDriverTid;
+    std::uint32_t recovery_tid = obs::kRecoveryTid;
+    std::uint32_t shard_tag = 0;
+  };
+  ObsLanes lanes_;
   std::vector<LogUnit> units_;
   std::uint8_t next_unit_hint_ = 0;  // round-robin start for unit picking
   std::unique_ptr<BufferManager> buffers_;

@@ -13,6 +13,10 @@ namespace {
 
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 1;  // length, crc, lsn, type
 
+// The ext2 O_SYNC log file of §5.2 splits every flush into 4 KB
+// file-system blocks of this many sectors (see start_flush).
+constexpr std::uint32_t kSyncChunkSectors = 8;
+
 void put_u16(std::vector<std::byte>& v, std::uint16_t x) {
   v.push_back(std::byte(x & 0xFF));
   v.push_back(std::byte(x >> 8 & 0xFF));
@@ -270,12 +274,10 @@ void LogManager::start_flush() {
     }
   };
 
-  const std::uint32_t chunk_size =
-      config_.sync_chunk_sectors == 0 ? sectors : config_.sync_chunk_sectors;
-  fs->outstanding = (sectors + chunk_size - 1) / chunk_size;
+  fs->outstanding = (sectors + kSyncChunkSectors - 1) / kSyncChunkSectors;
   std::uint32_t issued = 0;
   while (issued < sectors) {
-    const std::uint32_t chunk = std::min(sectors - issued, chunk_size);
+    const std::uint32_t chunk = std::min(sectors - issued, kSyncChunkSectors);
     io::BlockAddr addr = config_.region_base;
     addr.lba = config_.region_base.lba + from_sector + issued;
     const std::span<const std::byte> data(

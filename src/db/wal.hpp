@@ -64,14 +64,6 @@ struct WalConfig {
   std::uint64_t region_sectors = 0;   // region capacity
   bool group_commit = false;
   std::size_t group_commit_bytes = 50 * 1024;  // paper default: 50 KB
-  /// Emulates the ext2 O_SYNC log file of §5.2: a flush larger than this
-  /// is issued as consecutive synchronous writes of at most this many
-  /// sectors, each waiting for the previous ("the file system tends to
-  /// split a large user-level file access request into multiple
-  /// consecutive small low-level write requests", §5.1). On a standard
-  /// disk every chunk after the first misses the rotation; under Trail
-  /// each chunk lands at the head. 0 = single write per flush.
-  std::uint32_t sync_chunk_sectors = 8;  // 4 KB file-system blocks
   /// Stall watchdog bound for a single synchronous flush (submit ->
   /// durable). A flush exceeding it bumps "req.stalls.wal_flush". 0
   /// disables the check.

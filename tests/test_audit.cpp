@@ -6,17 +6,18 @@
 // The corruption table bit-flips every §3.2 header field class — magic
 // byte, signature, epoch, prev_sect, log_head, entry array, payload — and
 // asserts both that verify_log attributes the damage to the right check
-// and that LogScanner/recovery reject the image cleanly (a thrown
-// std::runtime_error or a reduced record count; never silent adoption).
+// (and still returns the image's census without throwing) and that
+// recovery rejects the image cleanly (a thrown std::runtime_error or a
+// reduced record count; never silent adoption).
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <set>
 #include <stdexcept>
 
 #include "audit/check.hpp"
 #include "audit/log_verifier.hpp"
 #include "core/log_format.hpp"
-#include "core/log_scanner.hpp"
 #include "db/database.hpp"
 #include "io/standard_driver.hpp"
 #include "trail_fixture.hpp"
@@ -119,18 +120,18 @@ class AuditVerifierTest : public TrailFixture {
   AuditVerifierTest() : TrailFixture(2) {}
 
   /// Run kRecords writes in epoch 1, crash with them pending, and return
-  /// the scanned records sorted oldest -> youngest.
-  auto prepare_crashed_log() {
+  /// the image's records sorted oldest -> youngest.
+  std::vector<audit::ParsedRecord> prepare_crashed_log() {
     start();
     for (auto& d : data_disks) d->crash_halt();
     for (int i = 0; i < kRecords; ++i)
       write_sync({devices[0], static_cast<disk::Lba>(i * 4)}, make_pattern(2, i));
     driver->crash();
     driver.reset();
-    const core::LogScanner scanner(*log_disk);
-    auto records = scanner.records_of_epoch(1);
-    EXPECT_EQ(records.size(), static_cast<std::size_t>(kRecords));
-    return records;
+    audit::LogImage image;
+    (void)audit::verify_log(*log_disk, {}, &image);
+    EXPECT_EQ(image.records.size(), static_cast<std::size_t>(kRecords));
+    return image.records;
   }
 
   /// Raw bit-flip inside the sector at `lba`.
@@ -153,10 +154,11 @@ class AuditVerifierTest : public TrailFixture {
     log_disk->store().write(lba, 1, sector);
   }
 
-  /// The image must scan without throwing, whatever state it is in.
-  void expect_scanner_survives() {
-    const core::LogScanner scanner(*log_disk);
-    EXPECT_NO_THROW((void)scanner.scan());
+  /// The census must come back without throwing, whatever state the
+  /// image is in.
+  void expect_census_survives() {
+    audit::LogImage image;
+    EXPECT_NO_THROW((void)audit::verify_log(*log_disk, {}, &image));
   }
 
   /// Reboot + mount. Returns the recovered record count, or nullopt if
@@ -189,6 +191,26 @@ TEST_F(AuditVerifierTest, CrashedImageHasNoErrors) {
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
+TEST_F(AuditVerifierTest, ThresholdZeroImagePutsEachWriteOnItsOwnTrack) {
+  core::TrailConfig cfg;
+  cfg.track_utilization_threshold = 0.0;  // one batch per track
+  start(cfg);
+  for (auto& d : data_disks) d->crash_halt();
+  for (int i = 0; i < 6; ++i)
+    write_sync({devices[0], static_cast<disk::Lba>(i * 8)}, make_pattern(4, i));
+  driver->crash();
+  driver.reset();
+
+  audit::LogImage image;
+  const Report report = audit::verify_log(*log_disk, {}, &image);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  std::set<disk::TrackId> tracks;
+  for (const audit::ParsedRecord& rec : image.records)
+    tracks.insert(log_disk->geometry().track_of_lba(rec.header_lba));
+  EXPECT_EQ(image.records.size(), 6u);
+  EXPECT_EQ(tracks.size(), 6u) << "one record per track at threshold 0";
+}
+
 TEST_F(AuditVerifierTest, CleanUnmountedImageIsClean) {
   start();
   for (int i = 0; i < 4; ++i)
@@ -207,6 +229,87 @@ TEST_F(AuditVerifierTest, UnformattedImageFailsHeaderCheck) {
   EXPECT_GT(report.check("log.disk_header").errors(), 0u);
 }
 
+// ---- the census: what verify_log reads back into a LogImage ----
+// (Suite name kept from the offline scanner the census replaced, so these
+// tests keep their names.)
+
+using LogScannerTest = AuditVerifierTest;
+
+TEST_F(LogScannerTest, FreshFormatScansClean) {
+  audit::LogImage image;
+  Report report = audit::verify_log(*log_disk, {}, &image);
+  ASSERT_EQ(image.headers.size(), 3u);
+  EXPECT_EQ(image.headers[0].epoch, 0u);
+  EXPECT_EQ(image.headers[0].crash_var, 1u);
+  EXPECT_TRUE(image.records.empty());
+  EXPECT_EQ(report.check("log.chain").errors(), 0u) << report.to_string();
+}
+
+TEST_F(LogScannerTest, UnformattedDiskReported) {
+  disk::DiskDevice raw(sim, disk::small_test_disk());
+  audit::LogImage image;
+  (void)audit::verify_log(raw, {}, &image);
+  EXPECT_TRUE(image.headers.empty());
+}
+
+TEST_F(LogScannerTest, CensusCountsRecordsAndPayloads) {
+  prepare_crashed_log();
+  audit::LogImage image;
+  Report report = audit::verify_log(*log_disk, {}, &image);
+  ASSERT_FALSE(image.headers.empty());
+  EXPECT_EQ(image.headers[0].crash_var, 0u) << "crashed mount: dirty flag";
+  ASSERT_EQ(image.records.size(), static_cast<std::size_t>(kRecords));
+  std::uint64_t payload_sectors = 0;
+  for (const audit::ParsedRecord& rec : image.records) {
+    EXPECT_EQ(rec.header.epoch, 1u);
+    payload_sectors += rec.header.batch_size;
+  }
+  EXPECT_GE(payload_sectors, 2u * kRecords);
+  EXPECT_EQ(report.check("log.chain").errors(), 0u) << report.to_string();
+  EXPECT_EQ(report.check("log.chain").passes(), static_cast<std::uint64_t>(kRecords));
+  EXPECT_EQ(image.records.back().header.sequence_id, static_cast<std::uint32_t>(kRecords));
+  EXPECT_TRUE(image.records.back().payload_intact);
+}
+
+TEST_F(LogScannerTest, RecordsOfEpochAscending) {
+  start();
+  for (auto& d : data_disks) d->crash_halt();
+  for (int i = 0; i < 4; ++i)
+    write_sync({devices[1], static_cast<disk::Lba>(i * 2)}, make_pattern(1, 10 + i));
+  driver->crash();
+  driver.reset();
+
+  audit::LogImage image;
+  (void)audit::verify_log(*log_disk, {}, &image);
+  ASSERT_EQ(image.records.size(), 4u);
+  for (std::size_t i = 1; i < image.records.size(); ++i) {
+    EXPECT_LT(core::record_key(image.records[i - 1].header),
+              core::record_key(image.records[i].header));
+  }
+  // Each record's entries point at device (3,1).
+  for (const audit::ParsedRecord& rec : image.records) {
+    EXPECT_EQ(rec.header.epoch, 1u);
+    EXPECT_EQ(rec.header.entries[0].data_major, 3);
+    EXPECT_EQ(rec.header.entries[0].data_minor, 1);
+  }
+}
+
+TEST_F(LogScannerTest, DetectsTornYoungestPayload) {
+  const auto records = prepare_crashed_log();
+  flip(records.back().header_lba + 1, 50, std::byte{0xFF});  // youngest payload
+
+  audit::LogImage image;
+  Report report = audit::verify_log(*log_disk, {}, &image);
+  // The torn record is the youngest (an unacknowledged tear is legal), so
+  // the report stays ok; the image flags the tear.
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  ASSERT_EQ(image.records.size(), static_cast<std::size_t>(kRecords));
+  EXPECT_EQ(image.records.back().header_lba, records.back().header_lba);
+  EXPECT_FALSE(image.records.back().payload_intact);
+  for (std::size_t i = 0; i + 1 < image.records.size(); ++i)
+    EXPECT_TRUE(image.records[i].payload_intact);
+}
+
 // ---- the corruption table: one §3.2 header field class per test ----
 
 TEST_F(AuditVerifierTest, CorruptMagicByteDetected) {
@@ -215,7 +318,7 @@ TEST_F(AuditVerifierTest, CorruptMagicByteDetected) {
 
   Report report = audit::verify_log(*log_disk);
   EXPECT_GT(report.check("log.sector_classes").errors(), 0u) << report.to_string();
-  expect_scanner_survives();
+  expect_census_survives();
   // The chain from the youngest runs into the destroyed header.
   EXPECT_EQ(remount_records(), std::nullopt);
 }
@@ -226,7 +329,7 @@ TEST_F(AuditVerifierTest, CorruptSignatureDetected) {
 
   Report report = audit::verify_log(*log_disk);
   EXPECT_GT(report.check("log.sector_classes").errors(), 0u) << report.to_string();
-  expect_scanner_survives();
+  expect_census_survives();
   EXPECT_EQ(remount_records(), std::nullopt);
 }
 
@@ -237,7 +340,7 @@ TEST_F(AuditVerifierTest, CorruptEpochDetected) {
 
   Report report = audit::verify_log(*log_disk);
   EXPECT_GT(report.check("log.chain").errors(), 0u) << report.to_string();
-  expect_scanner_survives();
+  expect_census_survives();
   // The walk from the youngest epoch-1 record meets an epoch-8 header.
   EXPECT_EQ(remount_records(), std::nullopt);
 }
@@ -251,7 +354,7 @@ TEST_F(AuditVerifierTest, CorruptPrevSectDetected) {
 
   Report report = audit::verify_log(*log_disk);
   EXPECT_GT(report.check("log.chain").errors(), 0u) << report.to_string();
-  expect_scanner_survives();
+  expect_census_survives();
   EXPECT_EQ(remount_records(), std::nullopt);
 }
 
@@ -264,7 +367,7 @@ TEST_F(AuditVerifierTest, CorruptLogHeadDetected) {
 
   Report report = audit::verify_log(*log_disk);
   EXPECT_GT(report.check("log.chain").errors(), 0u) << report.to_string();
-  expect_scanner_survives();
+  expect_census_survives();
   // Recovery walks to the prev_sect sentinel and stops: it still finds
   // every record, it just could not use the bound. Legal, if untidy.
   const auto found = remount_records();
@@ -279,7 +382,7 @@ TEST_F(AuditVerifierTest, CorruptEntryArrayDetected) {
 
   Report report = audit::verify_log(*log_disk);
   EXPECT_GT(report.check("log.record_entries").errors(), 0u) << report.to_string();
-  expect_scanner_survives();
+  expect_census_survives();
   // Replay applies payload bytes it already read contiguously, so the
   // poisoned pointer array does not break recovery itself.
   const auto found = remount_records();
@@ -293,7 +396,7 @@ TEST_F(AuditVerifierTest, CorruptChainPayloadDetected) {
 
   Report report = audit::verify_log(*log_disk);
   EXPECT_GT(report.check("log.payload_crc").errors(), 0u) << report.to_string();
-  expect_scanner_survives();
+  expect_census_survives();
   // A torn record below an intact one is impossible in a legal crash.
   EXPECT_EQ(remount_records(), std::nullopt);
 }
@@ -325,7 +428,7 @@ TEST_F(AuditVerifierTest, DuplicateRecordKeyDetected) {
 
   Report report = audit::verify_log(*log_disk);
   EXPECT_GT(report.check("log.record_keys").errors(), 0u) << report.to_string();
-  expect_scanner_survives();
+  expect_census_survives();
   // Depending on which duplicate the locator anchors on, recovery either
   // trips the key-monotonicity guard or truncates the chain early; it
   // must never adopt all records as if the image were healthy.

@@ -261,7 +261,7 @@ TEST(EventTracer, CounterNameOutlivesPrefixedDriver) {
   {
     auto driver = std::make_unique<core::TrailDriver>(sim, log_disk);
     core::ObsScope scope;
-    scope.metric_prefix = "shard.5.";
+    scope.shard = 5;
     driver->attach_obs(&obs, scope);
     const io::DeviceId dev = driver->add_data_disk(data_disk);
     driver->mount();

@@ -17,33 +17,6 @@ constexpr std::uint8_t kDataDiskMajor = 3;
 constexpr sim::Duration kBufferReadDelay = sim::micros(5);
 }  // namespace
 
-std::string TrailStats::to_json() const {
-  std::string s = "{";
-  const auto field = [&s](const char* name, std::uint64_t v) {
-    if (s.size() > 1) s += ',';
-    s += '"';
-    s += name;
-    s += "\":";
-    s += std::to_string(v);
-  };
-  field("requests_logged", requests_logged);
-  field("sectors_logged", sectors_logged);
-  field("physical_log_writes", physical_log_writes);
-  field("records_written", records_written);
-  field("track_switches", track_switches);
-  field("idle_repositions", idle_repositions);
-  field("log_full_stalls", log_full_stalls);
-  field("reads", reads);
-  field("read_buffer_hits", read_buffer_hits);
-  field("writebacks", writebacks);
-  field("writeback_sectors", writeback_sectors);
-  field("writebacks_skipped", writebacks_skipped);
-  field("writebacks_dispatched", writebacks_dispatched);
-  field("writeback_commands", writeback_commands);
-  s += '}';
-  return s;
-}
-
 TrailDriver::TrailDriver(sim::Simulator& sim, disk::DiskDevice& log_disk, TrailConfig config)
     : TrailDriver(sim, std::vector<disk::DiskDevice*>{&log_disk}, config) {}
 
@@ -54,11 +27,6 @@ TrailDriver::TrailDriver(sim::Simulator& sim, std::vector<disk::DiskDevice*> log
     throw std::invalid_argument("TrailDriver: utilization threshold must be in [0,1]");
   if (log_disks.empty() || log_disks.size() > kMaxLogUnits)
     throw std::invalid_argument("TrailDriver: 1..15 log disks required");
-  if (config_.max_writeback_ranges < 1)
-    throw std::invalid_argument("TrailDriver: max_writeback_ranges must be >= 1");
-  if (config_.writeback_dirty_watermark > 0 && config_.writeback_dirty_age <= sim::Duration{0})
-    throw std::invalid_argument(
-        "TrailDriver: writeback_dirty_watermark needs a positive writeback_dirty_age");
   for (disk::DiskDevice* device : log_disks) {
     if (device == nullptr) throw std::invalid_argument("TrailDriver: null log disk");
     if (!is_trail_log_disk(*device))
@@ -87,11 +55,8 @@ io::DeviceId TrailDriver::add_data_disk(disk::DiskDevice& device) {
   if (mounted_) throw std::logic_error("TrailDriver: add data disks before mount()");
   // Reads drain first in arrival order; write-backs are CSCAN-ordered and
   // coalesce in-queue (§4.2–§4.3).
-  auto queue = std::make_unique<io::DeviceQueue>(device, io::make_writeback_scheduler());
-  if (config_.writeback_dirty_watermark > 0)
-    queue->set_pacing(&sim_, io::DeviceQueue::WritebackPacing{config_.writeback_dirty_watermark,
-                                                              config_.writeback_dirty_age});
-  data_queues_.push_back(std::move(queue));
+  data_queues_.push_back(
+      std::make_unique<io::DeviceQueue>(device, io::make_writeback_scheduler()));
   data_disks_.push_back(&device);
   const auto minor = static_cast<std::uint8_t>(data_queues_.size() - 1);
   if (obs_ != nullptr) attach_data_queue_obs(minor);
@@ -423,7 +388,6 @@ RecoveryManager::DataWriteFn TrailDriver::make_recovery_data_write() {
     io.lba = lba;
     io.count = count;
     io.priority = 1;
-    io.merge_cap = std::max<std::uint32_t>(config_.max_writeback_ranges, 1);
     io::PendingIo::WbRange range;
     range.lba = lba;
     range.count = count;
@@ -1122,7 +1086,6 @@ void TrailDriver::enqueue_writeback(io::DeviceId dev, disk::Lba lba, std::uint32
   io.lba = lba;
   io.count = count;
   io.priority = 1;  // below reads (§4.3)
-  io.merge_cap = config_.max_writeback_ranges;
   auto alive = alive_;
   io.on_dispatch = [this, alive](std::uint32_t nranges, std::uint32_t sectors) {
     if (!*alive) return;

@@ -68,13 +68,6 @@ struct TrailConfig {
   /// Max *requests* folded into one physical log write; 0 = unlimited.
   /// Sweeping this reproduces Table 1; 1 disables batching.
   std::uint32_t max_requests_per_physical = 0;
-  /// Max dirty ranges coalesced into one data-disk write-back command by
-  /// the per-disk CSCAN dispatcher (§4.2–§4.3): queued write-backs whose
-  /// ranges are adjacent or overlapping merge into a single device
-  /// command, with settled sub-ranges dropping out at dispatch.
-  /// 1 disables coalescing (one command per record run, the pre-batching
-  /// behaviour); must be >= 1.
-  std::uint32_t max_writeback_ranges = 32;
   /// Recovery policy at mount (Fig. 4b): write pending records back to the
   /// data disks before resuming, or adopt them as live state and let the
   /// normal write-back path drain them.
@@ -87,17 +80,6 @@ struct TrailConfig {
   /// prefetch. 1 = one read at a time, no prefetch; every depth runs the
   /// same pipeline and recovers the same state.
   std::uint32_t recovery_pipeline_depth = 8;
-  /// Write-back pacing (dirty high-watermark): when > 0, a data disk whose
-  /// queue holds *only* write-back work defers dispatch until at least
-  /// this many dirty sectors are queued, so bursts accumulate more
-  /// mergeable ranges before the first command goes out. 0 keeps the
-  /// work-conserving behaviour. Reads (and recovery writes) always
-  /// dispatch immediately and flush the accumulated writes with them.
-  std::uint32_t writeback_dirty_watermark = 0;
-  /// Age bound on pacing: the oldest held write-back dispatches no later
-  /// than this after it was queued, watermark reached or not. Must be > 0
-  /// when the watermark is set.
-  sim::Duration writeback_dirty_age = sim::millis(2);
   /// External global-sequence source (sharding): when set, record
   /// sequence ids come from this callback instead of the driver's own
   /// per-epoch counter. Ids must be strictly increasing per driver; a
@@ -137,11 +119,6 @@ struct TrailStats {
   }
 
   bool operator==(const TrailStats&) const = default;
-
-  /// Deterministic one-line JSON snapshot (field order fixed); the
-  /// determinism test compares these serialized snapshots, and benches
-  /// embed them in their metrics blocks.
-  [[nodiscard]] std::string to_json() const;
 };
 
 /// Where a driver's observability lands. Without a shard index it is the

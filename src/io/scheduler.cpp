@@ -58,8 +58,6 @@ class SchedulerBase : public IoScheduler {
     return it == classes_.end() ? nullptr : &it->second;
   }
 
-  [[nodiscard]] const std::map<int, Bucket>& classes() const { return classes_; }
-
   void drop_queued(Bucket& bucket, Bucket::iterator it) {
     bucket.erase(it);
     --size_;
@@ -84,12 +82,16 @@ class ClookScheduler final : public SchedulerBase {
   }
 };
 
-/// Batch envelopes touch or overlap, and the merged batch would respect
-/// both caps. Adjacency (a.end == b.lba) is enough: the merged sub-range
-/// union stays contiguous, so DeviceQueue can issue it as one command.
+/// Most constituent dirty ranges one coalesced write-back command carries.
+constexpr std::size_t kMaxWritebackRanges = 32;
+
+/// Batch envelopes touch or overlap, and the merged batch would stay
+/// within kMaxWritebackRanges. Adjacency (a.end == b.lba) is enough: the
+/// merged sub-range union stays contiguous, so DeviceQueue can issue it
+/// as one command.
 bool mergeable(const PendingIo& a, const PendingIo& b) {
   if (a.ranges.empty() || b.ranges.empty()) return false;
-  if (a.ranges.size() + b.ranges.size() > std::min(a.merge_cap, b.merge_cap)) return false;
+  if (a.ranges.size() + b.ranges.size() > kMaxWritebackRanges) return false;
   return a.lba <= b.lba + b.count && b.lba <= a.lba + a.count;
 }
 
@@ -112,7 +114,7 @@ void merge_into(PendingIo& target, PendingIo io) {
 class WritebackScheduler final : public SchedulerBase {
  public:
   bool try_merge(PendingIo& io) override {
-    if (io.ranges.empty() || io.merge_cap <= 1) return false;
+    if (io.ranges.empty()) return false;
     Bucket* bucket = bucket_for(io.priority);
     if (bucket == nullptr) return false;
     Bucket::iterator target = bucket->end();
@@ -138,21 +140,6 @@ class WritebackScheduler final : public SchedulerBase {
       }
     }
     return true;
-  }
-
-  [[nodiscard]] PacingView pacing_view() const override {
-    // Priority 0 is urgent (reads, recovery writes); everything above is
-    // deferrable write-back, measured in envelope sectors so the pacing
-    // watermark tracks dirty volume, not request count.
-    PacingView view;
-    for (const auto& [priority, bucket] : classes()) {
-      if (priority <= 0) {
-        view.has_urgent = view.has_urgent || !bucket.empty();
-        continue;
-      }
-      for (const PendingIo& io : bucket) view.writeback_sectors += io.count;
-    }
-    return view;
   }
 
  protected:

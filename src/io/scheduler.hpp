@@ -5,8 +5,10 @@
 // disk reads are given higher priority than data disk writes", §4.3),
 // serves the read class in arrival order, and CSCAN-orders the write
 // class, coalescing adjacent/overlapping queued write-backs into one
-// multi-range device command (§4.2). Priority classes are part of the
-// scheduler interface so all policies fall out of one mechanism.
+// multi-range device command (§4.2). The range cap per command is a
+// constant of the write-back policy (kMaxWritebackRanges = 32, in
+// scheduler.cpp). Priority classes are part of the scheduler interface
+// so all policies fall out of one mechanism.
 #pragma once
 
 #include <cstdint>
@@ -61,9 +63,6 @@ struct PendingIo {
   /// unused on this path — DeviceQueue dispatches via the per-range
   /// closures instead.
   std::vector<WbRange> ranges;
-  /// Max constituent ranges a batch may grow to via in-queue merging;
-  /// 1 disables coalescing for this request.
-  std::uint32_t merge_cap = 1;
   /// Called once per physical device command issued for this batch, with
   /// the number of constituent ranges it carries and its sector count.
   std::function<void(std::uint32_t ranges, std::uint32_t sectors)> on_dispatch;
@@ -83,25 +82,12 @@ class IoScheduler {
 
   /// Try to fold `io` (a batched write-back) into a queued batch of the
   /// same priority class whose envelope is adjacent or overlapping,
-  /// respecting both batches' merge caps; cascades if the grown envelope
-  /// now touches further queued batches. Returns true when `io` was
+  /// within the policy's range cap; cascades if the grown envelope now
+  /// touches further queued batches. Returns true when `io` was
   /// consumed. The default implementation never merges.
   virtual bool try_merge(PendingIo& io) {
     (void)io;
     return false;
-  }
-
-  /// What the queue holds, seen through the write-back pacing gate's
-  /// eyes: does any urgent (priority 0 — reads, recovery writes) request
-  /// wait, and how many deferrable write-back sectors are queued? The
-  /// default (everything urgent) disables pacing for policies that don't
-  /// distinguish the classes.
-  struct PacingView {
-    bool has_urgent = false;
-    std::uint64_t writeback_sectors = 0;
-  };
-  [[nodiscard]] virtual PacingView pacing_view() const {
-    return PacingView{!empty(), 0};
   }
 };
 
@@ -115,8 +101,8 @@ std::unique_ptr<IoScheduler> make_clook_scheduler();
 /// Trail's data-disk policy (§4.2–§4.3): priority class 0 (reads, and
 /// recovery writes) in strict arrival order above all write-back classes;
 /// classes >= 1 CSCAN-ordered by envelope LBA, with adjacent/overlapping
-/// batched write-backs coalesced in-queue (try_merge) up to each batch's
-/// merge cap.
+/// batched write-backs coalesced in-queue (try_merge) up to the fixed
+/// per-command range cap.
 std::unique_ptr<IoScheduler> make_writeback_scheduler();
 
 }  // namespace trail::io

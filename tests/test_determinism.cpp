@@ -31,10 +31,7 @@ struct RunResult {
 };
 
 void expect_equal(const RunResult& a, const RunResult& b) {
-  // Field-wise equality plus the serialized snapshot: the JSON diff names
-  // the offending counter directly when a run diverges.
   EXPECT_EQ(a.stats, b.stats);
-  EXPECT_EQ(a.stats.to_json(), b.stats.to_json());
   EXPECT_EQ(a.events_dispatched, b.events_dispatched);
   EXPECT_EQ(a.final_time_ns, b.final_time_ns);
   EXPECT_EQ(a.log_sectors_written, b.log_sectors_written);
@@ -127,8 +124,7 @@ TEST(Determinism, SameSeedSameTrailStatsAndEventCount) {
   const RunResult first = run_workload(42);
   const RunResult second = run_workload(42);
   expect_equal(first, second);
-  // Sanity: the workload actually exercised the stack, and the snapshot
-  // serializes the counters it claims to.
+  // Sanity: the workload actually exercised the stack.
   EXPECT_EQ(first.stats.requests_logged, 240u);
   EXPECT_GT(first.stats.writebacks, 0u);
   EXPECT_GT(first.stats.reads, 0u);
@@ -137,7 +133,6 @@ TEST(Determinism, SameSeedSameTrailStatsAndEventCount) {
   EXPECT_GT(first.events_dispatched, 500u);
   EXPECT_GT(first.stats.writebacks_dispatched, 0u);
   EXPECT_LE(first.stats.writeback_commands, first.stats.writebacks_dispatched);
-  EXPECT_NE(first.stats.to_json().find("\"requests_logged\":240"), std::string::npos);
 }
 
 TEST(Determinism, DifferentSeedsDiverge) {

@@ -17,7 +17,6 @@
 namespace trail::testing {
 namespace {
 
-using core::TrailConfig;
 using disk::kSectorSize;
 
 class WritebackBatchTest : public TrailFixture {
@@ -26,7 +25,7 @@ class WritebackBatchTest : public TrailFixture {
 
   static disk::DiskProfile slow_data_profile() {
     disk::DiskProfile p = disk::small_test_disk();
-    p.command_overhead = sim::millis_f(50.0);  // write-backs queue up behind it
+    p.command_overhead = sim::millis_f(200.0);  // write-backs queue up behind it
     return p;
   }
 
@@ -79,54 +78,58 @@ TEST_F(WritebackBatchTest, MergedBatchAbsorbsOverlappingDuplicate) {
 }
 
 TEST_F(WritebackBatchTest, SettledSubRangeDropsOutOfMergedDispatch) {
-  // The ISSUE scenario: a sub-range of a coalesced dispatch is settled by
-  // a newer overlapping write *before* dispatch. A merge cap of 2 forces
-  // the overlapping newer range into a second batch; the first batch's
-  // dispatch-time snapshot carries the newer version, so by the time the
-  // second batch reaches the device its overlapping sub-range is settled
-  // and drops out, while its other sub-range is written exactly once.
-  TrailConfig cfg;
-  cfg.max_writeback_ranges = 2;
-  start(cfg);
+  // A sub-range of a coalesced dispatch is settled by a newer overlapping
+  // write *before* dispatch. Filling the first batch to the range cap
+  // forces the overlapping newer range into a second batch; the first
+  // batch's dispatch-time snapshot carries the newer version, so by the
+  // time the second batch reaches the device its overlapping sub-range is
+  // settled and drops out, while its other sub-range is written once.
+  start();
 
   // U occupies the device so everything below queues behind it (the small
   // test disk has 1,520 sectors; 1400 is far from the burst at 100).
   write_sync(io::BlockAddr{devices[0], 1400}, make_pattern(1, 9));
-  // Batch α = {A1 [100,102), A2 [102,104)} — full at the cap.
-  write_sync(io::BlockAddr{devices[0], 100}, make_pattern(2, 10));
-  write_sync(io::BlockAddr{devices[0], 102}, make_pattern(2, 11));
-  // A3 overlaps A2 but cannot join α (cap) — starts batch γ; A4 extends γ.
-  write_sync(io::BlockAddr{devices[0], 102}, make_pattern(2, 12));
-  write_sync(io::BlockAddr{devices[0], 104}, make_pattern(2, 13));
+  // Batch α = 32 single-sector ranges [100,132) — full at the cap.
+  for (std::uint32_t i = 0; i < 32; ++i)
+    write_sync(io::BlockAddr{devices[0], 100 + i}, make_pattern(1, 10 + i));
+  // A newer write to 131 cannot join α (cap) — starts batch γ; a write to
+  // 132 extends γ.
+  write_sync(io::BlockAddr{devices[0], 131}, make_pattern(1, 50));
+  write_sync(io::BlockAddr{devices[0], 132}, make_pattern(1, 51));
   settle();
 
   const auto& s = driver->stats();
-  EXPECT_EQ(s.writebacks, 5u);
-  // α's A2 survivor snapshots A3's newer content at dispatch, settling A3
-  // before γ reaches the device: γ dispatches A4 alone.
+  EXPECT_EQ(s.writebacks, 35u);
+  // α's 131 survivor snapshots the newer content at dispatch, settling it
+  // before γ reaches the device: γ dispatches 132 alone.
   EXPECT_EQ(s.writebacks_skipped, 1u);
-  EXPECT_EQ(s.writebacks_dispatched, 4u);
+  EXPECT_EQ(s.writebacks_dispatched, 34u);
   EXPECT_EQ(s.writeback_commands, 3u);  // U, α, γ-minus-the-settled-range
-  // A2's sectors were written once, already carrying A3's bytes.
+  // LBA 131 was written once, already carrying the newer bytes.
   verify_expected_on_data_disks();
   EXPECT_EQ(driver->buffers().pinned_sectors(), 0u);
   EXPECT_EQ(driver->buffers().pending_records(), 0u);
   expect_clean_audit();
 }
 
-TEST_F(WritebackBatchTest, CoalescingDisabledDispatchesPerRange) {
-  TrailConfig cfg;
-  cfg.max_writeback_ranges = 1;  // pre-batching behaviour
-  start(cfg);
-  for (std::uint32_t i = 0; i < 8; ++i)
-    write_sync(io::BlockAddr{devices[0], 100 + i}, make_pattern(1, 2000 + i));
+TEST_F(WritebackBatchTest, WritebackCommandsCarryAtMost32Ranges) {
+  start();
+  // Each burst's first write-back dispatches alone (device idle) and the
+  // rest queue behind it. 32 queued adjacent ranges fit one command; a
+  // 33rd spills into a second one.
+  for (std::uint32_t i = 0; i < 33; ++i)
+    write_sync(io::BlockAddr{devices[0], 100 + i}, make_pattern(1, 4000 + i));
+  settle();
+  EXPECT_EQ(driver->stats().writeback_commands, 2u);  // solo + 32
+
+  for (std::uint32_t i = 0; i < 34; ++i)
+    write_sync(io::BlockAddr{devices[0], 300 + i}, make_pattern(1, 4100 + i));
   settle();
 
   const auto& s = driver->stats();
-  EXPECT_EQ(s.writebacks, 8u);
-  EXPECT_EQ(s.writebacks_dispatched + s.writebacks_skipped, 8u);
-  // No coalescing: every dispatched range is its own device command.
-  EXPECT_EQ(s.writeback_commands, s.writebacks_dispatched);
+  EXPECT_EQ(s.writebacks, 67u);
+  EXPECT_EQ(s.writebacks_dispatched, 67u);
+  EXPECT_EQ(s.writeback_commands, 5u);  // + solo, 32, 1
   verify_expected_on_data_disks();
   EXPECT_EQ(driver->buffers().pinned_sectors(), 0u);
   expect_clean_audit();
@@ -148,85 +151,6 @@ TEST_F(WritebackBatchTest, ReadsPreemptQueuedWritebackBatches) {
   settle();
   verify_expected_on_data_disks();
   expect_clean_audit();
-}
-
-TEST_F(WritebackBatchTest, RejectsZeroMergeCap) {
-  TrailConfig cfg;
-  cfg.max_writeback_ranges = 0;
-  EXPECT_THROW(core::TrailDriver(sim, *log_disk, cfg), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Write-back pacing (dirty high-watermark + age bound)
-// ---------------------------------------------------------------------------
-
-TEST_F(WritebackBatchTest, PacingAccumulatesUntilWatermarkThenDispatchesOnce) {
-  TrailConfig cfg;
-  cfg.writeback_dirty_watermark = 8;  // sectors
-  cfg.writeback_dirty_age = sim::millis(1000);  // never the release reason here
-  start(cfg);
-  // Without pacing the first write-back dispatches alone (device idle)
-  // and only the trailing seven coalesce. Pacing holds the first one, so
-  // the full burst accumulates into one envelope and one device command.
-  for (std::uint32_t i = 0; i < 8; ++i)
-    write_sync(io::BlockAddr{devices[0], 100 + i}, make_pattern(1, 5000 + i));
-  settle();
-
-  const auto& s = driver->stats();
-  EXPECT_EQ(s.writebacks, 8u);
-  EXPECT_EQ(s.writebacks_dispatched, 8u);
-  EXPECT_EQ(s.writeback_commands, 1u);  // the whole paced burst at once
-  verify_expected_on_data_disks();
-  EXPECT_EQ(driver->buffers().pinned_sectors(), 0u);
-  expect_clean_audit();
-}
-
-TEST_F(WritebackBatchTest, PacingAgeBoundReleasesShortAccumulation) {
-  TrailConfig cfg;
-  cfg.writeback_dirty_watermark = 1000;  // unreachable: age must release
-  cfg.writeback_dirty_age = sim::millis(50);
-  start(cfg);
-  for (std::uint32_t i = 0; i < 3; ++i)
-    write_sync(io::BlockAddr{devices[0], 200 + i}, make_pattern(1, 6000 + i));
-  // Nothing may dispatch before the age deadline.
-  EXPECT_EQ(driver->stats().writebacks_dispatched, 0u);
-  settle();  // the age timer fires during the drain
-
-  const auto& s = driver->stats();
-  EXPECT_EQ(s.writebacks_dispatched, 3u);
-  EXPECT_EQ(s.writeback_commands, 1u);  // aged accumulation flushes together
-  verify_expected_on_data_disks();
-  expect_clean_audit();
-}
-
-TEST_F(WritebackBatchTest, UrgentReadFlushesPacedAccumulation) {
-  TrailConfig cfg;
-  cfg.writeback_dirty_watermark = 1000;
-  cfg.writeback_dirty_age = sim::millis(500);
-  start(cfg);
-  const sim::TimePoint t0 = sim.now();
-  for (std::uint32_t i = 0; i < 4; ++i)
-    write_sync(io::BlockAddr{devices[0], 300 + i}, make_pattern(1, 7000 + i));
-  EXPECT_EQ(driver->stats().writebacks_dispatched, 0u);  // held by the gate
-  // A read to an unbuffered LBA is never held; it latches the gate open
-  // and the accumulated writes flush behind it — long before watermark
-  // or age would have released them.
-  (void)read_sync(io::BlockAddr{devices[0], 1200}, 1);
-  settle();
-  EXPECT_LT(sim.now() - t0, cfg.writeback_dirty_age);
-
-  const auto& s = driver->stats();
-  EXPECT_EQ(s.writebacks_dispatched, 4u);
-  EXPECT_EQ(s.writeback_commands, 1u);
-  verify_expected_on_data_disks();
-  expect_clean_audit();
-}
-
-TEST_F(WritebackBatchTest, RejectsPacingWithoutAgeBound) {
-  TrailConfig cfg;
-  cfg.writeback_dirty_watermark = 16;
-  cfg.writeback_dirty_age = sim::Duration{0};
-  EXPECT_THROW(core::TrailDriver(sim, *log_disk, cfg), std::invalid_argument);
 }
 
 }  // namespace

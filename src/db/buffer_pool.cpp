@@ -101,6 +101,7 @@ void BufferPool::fetch(std::uint32_t file_id, PageNo page,
 void BufferPool::mark_dirty(std::uint32_t file_id, PageNo page) {
   Frame& f = frame_at(file_id, page);
   f.dirty = true;
+  ++f.write_gen;
   // WAL rule bookkeeping: everything logged so far (including the record
   // for this change — transactions append before applying) must reach
   // disk before this page may.
@@ -150,16 +151,18 @@ void BufferPool::maybe_evict() {
     victim->flushing = true;
     Frame* fp = victim;
     const FrameKey key = victim_key;
+    const std::uint64_t gen = fp->write_gen;
     auto alive = alive_;
-    auto write_page = [this, alive, fp, key] {
+    auto write_page = [this, alive, fp, key, gen] {
       if (!*alive) return;
-      files_.at(key.file)->write_page(key.page, fp->data, [this, alive, fp, key] {
+      files_.at(key.file)->write_page(key.page, fp->data, [this, alive, fp, key, gen] {
         if (!*alive) return;
         fp->flushing = false;
-        fp->dirty = false;
+        if (fp->write_gen == gen) fp->dirty = false;
         // Drop it now unless someone touched it meanwhile.
         auto it = frames_.find(key);
-        if (it != frames_.end() && it->second.get() == fp && fp->pins == 0 && !fp->loading) {
+        if (it != frames_.end() && it->second.get() == fp && !fp->dirty && fp->pins == 0 &&
+            !fp->loading) {
           lru_.erase(fp->lru_pos);
           frames_.erase(it);
           ++stats_.evictions;
@@ -188,13 +191,14 @@ void BufferPool::flush_dirty(std::function<void()> done) {
     fp->flushing = true;
     PageFile* file = files_.at(key.file);
     const PageNo page_no = key.page;
+    const std::uint64_t gen = fp->write_gen;
     auto alive = alive_;
-    auto write_page = [alive, file, page_no, fp, pending, done_shared] {
+    auto write_page = [alive, file, page_no, fp, gen, pending, done_shared] {
       if (!*alive) return;
-      file->write_page(page_no, fp->data, [alive, fp, pending, done_shared] {
+      file->write_page(page_no, fp->data, [alive, fp, gen, pending, done_shared] {
         if (!*alive) return;
         fp->flushing = false;
-        fp->dirty = false;
+        if (fp->write_gen == gen) fp->dirty = false;
         if (--*pending == 0 && *done_shared) (*done_shared)();
       });
     };

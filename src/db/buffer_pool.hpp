@@ -95,6 +95,10 @@ class BufferPool {
   struct Frame {
     std::vector<std::byte> data;
     bool dirty = false;
+    /// Bumped by every mark_dirty. A page write clears `dirty` at
+    /// completion only if this still equals its value at submit: a
+    /// rewrite while the write is in flight keeps the frame dirty.
+    std::uint64_t write_gen = 0;
     Lsn flush_lsn = 0;  // WAL must be durable to here before page write
     bool loading = false;
     bool flushing = false;

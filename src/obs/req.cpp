@@ -1,7 +1,6 @@
 #include "obs/req.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "obs/obs.hpp"
 
@@ -27,10 +26,10 @@ const char* req_phase_name(ReqPhase phase) {
 // FlightRecorder codec
 // ---------------------------------------------------------------------------
 //
-// Same storage idiom as the EventTracer: one mask byte naming which
-// header fields differ from the previous record, varint/zigzag deltas
-// for just those, then the always-varying payload (total + a phase
-// presence mask + one varint per stamped phase). Steady-state requests
+// The record format inside the DeltaRing the EventTracer shares: one
+// mask byte naming which header fields differ from the previous record,
+// varint/zigzag deltas for just those, then the always-varying payload
+// (total + a phase presence mask + one varint per stamped phase). Steady-state requests
 // from one shard differ only in id (+1), submit delta, total, and a few
 // phase values — a handful of bytes per record.
 
@@ -42,157 +41,64 @@ constexpr std::uint8_t kMaskSectors = 1 << 2; // sector count changed
 constexpr std::uint8_t kMaskFlags = 1 << 3;   // flags changed
 constexpr std::uint8_t kMaskSubmit = 1 << 4;  // submit delta != 0
 
-std::uint64_t zigzag(std::int64_t v) {
-  return (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63);
-}
-
-std::int64_t unzigzag(std::uint64_t u) {
-  return static_cast<std::int64_t>((u >> 1) ^ (~(u & 1) + 1));
-}
-
-void put_varint(std::vector<std::uint8_t>& buf, std::uint64_t v) {
-  while (v >= 0x80) {
-    buf.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  buf.push_back(static_cast<std::uint8_t>(v));
-}
-
-std::uint64_t get_varint(const std::vector<std::uint8_t>& buf, std::size_t& off) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  for (;;) {
-    const std::uint8_t b = buf[off++];
-    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) break;
-    shift += 7;
-  }
-  return v;
-}
-
 }  // namespace
 
-FlightRecorder::FlightRecorder(std::size_t capacity) : cap_(capacity == 0 ? 1 : capacity) {}
-
-void FlightRecorder::set_capacity(std::size_t capacity) {
-  sync::MutexLock lock(mu_);
-  cap_ = capacity == 0 ? 1 : capacity;
-  while (count_ > cap_) drop_oldest();
-  compact();
-}
-
-void FlightRecorder::push(const FlightRecord& r) {
-  sync::MutexLock lock(mu_);
-  while (count_ >= cap_) drop_oldest();
-
+void FlightRecorder::Codec::encode(const FlightRecord& r, FlightRecord& tail,
+                                   std::vector<std::uint8_t>& out) {
   std::uint8_t mask = 0;
-  const std::int64_t id_delta =
-      static_cast<std::int64_t>(r.id) - static_cast<std::int64_t>(tail_state_.id);
-  if (id_delta != 1) mask |= kMaskId;
-  if (r.shard != tail_state_.shard) mask |= kMaskShard;
-  if (r.sectors != tail_state_.sectors) mask |= kMaskSectors;
-  if (r.flags != tail_state_.flags) mask |= kMaskFlags;
-  const std::int64_t submit_delta = r.submit_ns - tail_state_.submit_ns;
-  if (submit_delta != 0) mask |= kMaskSubmit;
+  const std::uint64_t id_step = r.id - tail.id;  // wraps: ids may run backwards
+  if (id_step != 1) mask |= kMaskId;
+  if (r.shard != tail.shard) mask |= kMaskShard;
+  if (r.sectors != tail.sectors) mask |= kMaskSectors;
+  if (r.flags != tail.flags) mask |= kMaskFlags;
+  if (r.submit_ns != tail.submit_ns) mask |= kMaskSubmit;
 
-  buf_.push_back(mask);
-  if ((mask & kMaskId) != 0) put_varint(buf_, zigzag(id_delta));
-  if ((mask & kMaskShard) != 0) put_varint(buf_, r.shard);
-  if ((mask & kMaskSectors) != 0) put_varint(buf_, r.sectors);
-  if ((mask & kMaskFlags) != 0) buf_.push_back(r.flags);
-  if ((mask & kMaskSubmit) != 0) put_varint(buf_, zigzag(submit_delta));
+  out.push_back(mask);
+  if ((mask & kMaskId) != 0) put_varint(out, zigzag(static_cast<std::int64_t>(id_step)));
+  if ((mask & kMaskShard) != 0) put_varint(out, r.shard);
+  if ((mask & kMaskSectors) != 0) put_varint(out, r.sectors);
+  if ((mask & kMaskFlags) != 0) out.push_back(r.flags);
+  if ((mask & kMaskSubmit) != 0) put_delta(out, r.submit_ns, tail.submit_ns);
 
-  put_varint(buf_, static_cast<std::uint64_t>(r.total_ns));
+  put_varint(out, static_cast<std::uint64_t>(r.total_ns));
   std::uint8_t phase_mask = 0;
   for (std::size_t p = 0; p < kReqPhaseCount; ++p) {
     if (r.phase_ns[p] != 0) phase_mask |= static_cast<std::uint8_t>(1 << p);
   }
-  buf_.push_back(phase_mask);
+  out.push_back(phase_mask);
   for (std::size_t p = 0; p < kReqPhaseCount; ++p) {
-    if (r.phase_ns[p] != 0) put_varint(buf_, static_cast<std::uint64_t>(r.phase_ns[p]));
+    if (r.phase_ns[p] != 0) put_varint(out, static_cast<std::uint64_t>(r.phase_ns[p]));
   }
 
-  tail_state_ = {r.id, r.shard, r.sectors, r.flags, r.submit_ns};
-  ++count_;
+  tail = r;
 }
 
-FlightRecord FlightRecorder::decode(std::size_t& off, FieldState& state) const {
-  FlightRecord r;
-  const std::uint8_t mask = buf_[off++];
-  state.id = (mask & kMaskId) != 0
-                 ? static_cast<std::uint64_t>(static_cast<std::int64_t>(state.id) +
-                                              unzigzag(get_varint(buf_, off)))
-                 : state.id + 1;
-  if ((mask & kMaskShard) != 0) state.shard = static_cast<std::uint32_t>(get_varint(buf_, off));
-  if ((mask & kMaskSectors) != 0)
-    state.sectors = static_cast<std::uint32_t>(get_varint(buf_, off));
-  if ((mask & kMaskFlags) != 0) state.flags = buf_[off++];
-  if ((mask & kMaskSubmit) != 0) state.submit_ns += unzigzag(get_varint(buf_, off));
-
-  r.id = state.id;
-  r.shard = state.shard;
-  r.sectors = state.sectors;
-  r.flags = state.flags;
-  r.submit_ns = state.submit_ns;
-  r.total_ns = static_cast<std::int64_t>(get_varint(buf_, off));
-  const std::uint8_t phase_mask = buf_[off++];
+FlightRecord FlightRecorder::Codec::decode(const std::vector<std::uint8_t>& in, std::size_t& off,
+                                           FlightRecord& state) {
+  const std::uint8_t mask = in[off++];
+  state.id += (mask & kMaskId) != 0 ? static_cast<std::uint64_t>(unzigzag(get_varint(in, off)))
+                                    : 1;
+  if ((mask & kMaskShard) != 0) state.shard = static_cast<std::uint32_t>(get_varint(in, off));
+  if ((mask & kMaskSectors) != 0) state.sectors = static_cast<std::uint32_t>(get_varint(in, off));
+  if ((mask & kMaskFlags) != 0) state.flags = in[off++];
+  if ((mask & kMaskSubmit) != 0) state.submit_ns = get_delta(in, off, state.submit_ns);
+  state.total_ns = static_cast<std::int64_t>(get_varint(in, off));
+  const std::uint8_t phase_mask = in[off++];
   for (std::size_t p = 0; p < kReqPhaseCount; ++p) {
-    if ((phase_mask & (1 << p)) != 0)
-      r.phase_ns[p] = static_cast<std::int64_t>(get_varint(buf_, off));
+    state.phase_ns[p] =
+        (phase_mask & (1 << p)) != 0 ? static_cast<std::int64_t>(get_varint(in, off)) : 0;
   }
-  return r;
-}
-
-void FlightRecorder::drop_oldest() {
-  if (count_ == 0) return;
-  (void)decode(head_off_, head_state_);
-  --count_;
-  ++dropped_;
-  compact();
-}
-
-void FlightRecorder::compact() {
-  // Amortized: reclaim the dead prefix only once it dominates the
-  // buffer, so each byte is moved O(1) times across the ring's life.
-  if (head_off_ > 4096 && head_off_ > buf_.size() / 2) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_off_));
-    head_off_ = 0;
-  }
-}
-
-FlightRecord FlightRecorder::at(std::size_t i) const {
-  sync::MutexLock lock(mu_);
-  assert(i < count_);
-  std::size_t off = head_off_;
-  FieldState state = head_state_;
-  FlightRecord r;
-  for (std::size_t k = 0; k <= i; ++k) r = decode(off, state);
-  return r;
-}
-
-void FlightRecorder::clear() {
-  sync::MutexLock lock(mu_);
-  buf_.clear();
-  head_off_ = 0;
-  count_ = 0;
-  dropped_ = 0;
-  tail_state_ = FieldState{};
-  head_state_ = FieldState{};
+  return state;
 }
 
 std::string FlightRecorder::dump_tail(std::size_t n) const {
   sync::MutexLock lock(mu_);
   // Plain integers only — the dump is diffable across identical seeds.
-  if (n > count_) n = count_;
-  std::string out = "flight: " + std::to_string(count_) + " records retained, " +
-                    std::to_string(dropped_) + " dropped, showing last " + std::to_string(n) +
-                    "\n";
-  // Skip forward to the first requested record, then stream the tail.
-  std::size_t off = head_off_;
-  FieldState state = head_state_;
-  for (std::size_t k = 0; k < count_ - n; ++k) (void)decode(off, state);
-  for (std::size_t k = 0; k < n; ++k) {
-    const FlightRecord r = decode(off, state);
+  n = std::min(n, ring_.size());
+  std::string out = "flight: " + std::to_string(ring_.size()) + " records retained, " +
+                    std::to_string(ring_.dropped()) + " dropped, showing last " +
+                    std::to_string(n) + "\n";
+  ring_.for_each(ring_.size() - n, [&out](const FlightRecord& r) {
     out += "id=" + std::to_string(r.id);
     out += " shard=" + std::to_string(r.shard);
     out += " sectors=" + std::to_string(r.sectors);
@@ -210,7 +116,7 @@ std::string FlightRecorder::dump_tail(std::size_t n) const {
       out += '=' + std::to_string(r.phase_ns[p]);
     }
     out += '\n';
-  }
+  });
   return out;
 }
 

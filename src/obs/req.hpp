@@ -27,7 +27,8 @@
 //
 // On top of the tracker ride two post-mortem surfaces: an always-on
 // FlightRecorder — a bounded ring of compact per-request summaries,
-// delta-encoded like the event tracer, dumped by audit failures and
+// kept in the same delta-encoded ring as the event tracer's events
+// (obs/delta_ring.hpp), dumped by audit failures and
 // `log_inspector --flightdump` — and a stall watchdog that counts
 // requests exceeding a configurable age bound per phase
 // (`req.stalls.<phase>`).
@@ -38,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/delta_ring.hpp"
 #include "obs/metrics.hpp"
 #include "sim/time.hpp"
 #include "sync/sync.hpp"
@@ -80,46 +82,52 @@ struct FlightRecord {
 
 /// Always-on bounded ring of per-request summaries for post-mortem
 /// triage: cheap enough to leave running (records are delta/mask
-/// encoded against their predecessor, exactly the EventTracer's storage
-/// idiom — a steady-state record costs a handful of bytes), and dumped
-/// as deterministic text by `trail::audit` failures, recovery, and
-/// `log_inspector --flightdump`. The oldest record is evicted when a
-/// push would exceed the capacity. One sync::Mutex guards the codec
-/// state, so trackers on different threads (and a post-mortem dumper)
-/// can share the recorder safely.
+/// encoded against their predecessor in the same DeltaRing the
+/// EventTracer uses — a steady-state record costs a handful of bytes),
+/// and dumped as deterministic text by `trail::audit` failures,
+/// recovery, and `log_inspector --flightdump`. The capacity is fixed at
+/// construction; the oldest record is evicted when a push would exceed
+/// it. One sync::Mutex guards the ring, so trackers on different threads
+/// (and a post-mortem dumper) can share the recorder safely.
 class FlightRecorder {
  public:
-  explicit FlightRecorder(std::size_t capacity = 1 << 12);
+  explicit FlightRecorder(std::size_t capacity = 1 << 12) : ring_(capacity) {}
 
-  /// Re-bound the ring (drops oldest records if shrinking below size()).
-  void set_capacity(std::size_t capacity) TRAIL_EXCLUDES(mu_);
-
-  void push(const FlightRecord& record) TRAIL_EXCLUDES(mu_);
+  void push(const FlightRecord& record) TRAIL_EXCLUDES(mu_) {
+    sync::MutexLock lock(mu_);
+    ring_.push(record);
+  }
 
   [[nodiscard]] std::size_t size() const TRAIL_EXCLUDES(mu_) {
     sync::MutexLock lock(mu_);
-    return count_;
+    return ring_.size();
   }
   [[nodiscard]] std::size_t capacity() const TRAIL_EXCLUDES(mu_) {
     sync::MutexLock lock(mu_);
-    return cap_;
+    return ring_.capacity();
   }
   /// Records evicted because the ring was full.
   [[nodiscard]] std::uint64_t dropped() const TRAIL_EXCLUDES(mu_) {
     sync::MutexLock lock(mu_);
-    return dropped_;
+    return ring_.dropped();
   }
   /// Bytes currently held by the delta/mask-encoded stream.
   [[nodiscard]] std::size_t encoded_bytes() const TRAIL_EXCLUDES(mu_) {
     sync::MutexLock lock(mu_);
-    return buf_.size() - head_off_;
+    return ring_.encoded_bytes();
   }
 
-  /// Oldest-first record access, i in [0, size()). Decodes forward from
-  /// the oldest retained record — O(i); reporting/test path only.
-  [[nodiscard]] FlightRecord at(std::size_t i) const TRAIL_EXCLUDES(mu_);
+  /// Oldest-first record access, i in [0, size()), else
+  /// std::out_of_range. Ascending access is O(1) amortized.
+  [[nodiscard]] FlightRecord at(std::size_t i) const TRAIL_EXCLUDES(mu_) {
+    sync::MutexLock lock(mu_);
+    return ring_.at(i);
+  }
 
-  void clear() TRAIL_EXCLUDES(mu_);
+  void clear() TRAIL_EXCLUDES(mu_) {
+    sync::MutexLock lock(mu_);
+    ring_.clear();
+  }
 
   /// Deterministic text dump, oldest record first: one header line plus
   /// one line per record (integer nanoseconds — no float formatting).
@@ -128,28 +136,20 @@ class FlightRecorder {
   [[nodiscard]] std::string dump_tail(std::size_t n) const TRAIL_EXCLUDES(mu_);
 
  private:
-  /// Absolute field values at a point in the stream (the codec's
-  /// reference); default-initialized == the state before the first record.
-  struct FieldState {
-    std::uint64_t id = 0;
-    std::uint32_t shard = 0;
-    std::uint32_t sectors = 0;
-    std::uint8_t flags = 0;
-    std::int64_t submit_ns = 0;
+  /// The record format inside the ring: header-field mask bits and
+  /// deltas against the previous record, then the total and the stamped
+  /// phases.
+  struct Codec {
+    using Record = FlightRecord;
+    using State = FlightRecord;  // the previous record
+
+    static void encode(const FlightRecord& r, FlightRecord& tail, std::vector<std::uint8_t>& out);
+    static FlightRecord decode(const std::vector<std::uint8_t>& in, std::size_t& off,
+                               FlightRecord& state);
   };
 
-  void drop_oldest() TRAIL_REQUIRES(mu_);
-  void compact() TRAIL_REQUIRES(mu_);
-  FlightRecord decode(std::size_t& off, FieldState& state) const TRAIL_REQUIRES(mu_);
-
-  mutable sync::Mutex mu_;  // one capability over the whole codec state
-  std::size_t cap_ TRAIL_GUARDED_BY(mu_);
-  std::vector<std::uint8_t> buf_ TRAIL_GUARDED_BY(mu_);  // delta/mask record stream
-  std::size_t head_off_ TRAIL_GUARDED_BY(mu_) = 0;  // byte offset of the oldest record
-  std::size_t count_ TRAIL_GUARDED_BY(mu_) = 0;
-  std::uint64_t dropped_ TRAIL_GUARDED_BY(mu_) = 0;
-  FieldState tail_state_ TRAIL_GUARDED_BY(mu_);  // encoder ref: the last pushed record
-  FieldState head_state_ TRAIL_GUARDED_BY(mu_);  // decoder ref: before the oldest
+  mutable sync::Mutex mu_;  // one capability over the whole ring
+  DeltaRing<Codec> ring_ TRAIL_GUARDED_BY(mu_);
 };
 
 /// Per-driver request attribution: open() at submit, stamp() at each

@@ -1,7 +1,6 @@
 #include "obs/trace.hpp"
 
 #include <cstdio>
-#include <stdexcept>
 
 namespace trail::obs {
 
@@ -21,37 +20,10 @@ constexpr std::uint8_t kNameChanged = 0x08;
 constexpr std::uint8_t kCatChanged = 0x10;
 constexpr std::uint8_t kTidChanged = 0x20;
 
-void put_varint(std::vector<std::uint8_t>& buf, std::uint64_t v) {
-  while (v >= 0x80) {
-    buf.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  buf.push_back(static_cast<std::uint8_t>(v));
-}
-
-std::uint64_t get_varint(const std::vector<std::uint8_t>& buf, std::size_t& off) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  for (;;) {
-    const std::uint8_t b = buf[off++];
-    v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
-    if ((b & 0x80) == 0) return v;
-    shift += 7;
-  }
-}
-
-constexpr std::uint64_t zigzag(std::int64_t v) {
-  return (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63);
-}
-
-constexpr std::int64_t unzigzag(std::uint64_t v) {
-  return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
-}
-
 }  // namespace
 
 EventTracer::EventTracer(const sim::Simulator& sim, std::size_t capacity)
-    : sim_(&sim), cap_events_(capacity == 0 ? 1 : capacity) {}
+    : sim_(&sim), ring_(capacity) {}
 
 void EventTracer::set_track_name(std::uint32_t tid, std::string name) {
   sync::MutexLock lock(mu_);
@@ -65,110 +37,67 @@ const char* EventTracer::intern_name(std::string_view name) {
   return it->c_str();
 }
 
-std::uint32_t EventTracer::intern(const char* s) {
-  const auto [it, inserted] = intern_ids_.try_emplace(s, static_cast<std::uint32_t>(interned_.size()));
-  if (inserted) interned_.push_back(s);
+std::uint32_t EventTracer::Codec::intern(const char* s) {
+  const auto [it, inserted] =
+      intern_ids.try_emplace(s, static_cast<std::uint32_t>(interned.size()));
+  if (inserted) interned.push_back(s);
   return it->second;
 }
 
-void EventTracer::push(const TraceEvent& e) {
-  if (count_ == cap_events_) drop_oldest();
+void EventTracer::Codec::encode(const TraceEvent& e, State& tail,
+                                std::vector<std::uint8_t>& out) {
   std::uint8_t mask = static_cast<std::uint8_t>(e.ph) & kPhaseMask;
   if (e.has_value) mask |= kHasValue;
-  if (e.name != tail_state_.name) mask |= kNameChanged;
-  if (e.cat != tail_state_.cat) mask |= kCatChanged;
-  if (e.tid != tail_state_.tid) mask |= kTidChanged;
-  buf_.push_back(mask);
+  if (e.name != tail.name) mask |= kNameChanged;
+  if (e.cat != tail.cat) mask |= kCatChanged;
+  if (e.tid != tail.tid) mask |= kTidChanged;
+  out.push_back(mask);
   if ((mask & kNameChanged) != 0) {
-    tail_state_.name = e.name;
-    tail_state_.name_id = intern(e.name);
-    put_varint(buf_, tail_state_.name_id);
+    tail.name = e.name;
+    put_varint(out, intern(e.name));
   }
   if ((mask & kCatChanged) != 0) {
-    tail_state_.cat = e.cat;
-    tail_state_.cat_id = intern(e.cat);
-    put_varint(buf_, tail_state_.cat_id);
+    tail.cat = e.cat;
+    put_varint(out, intern(e.cat));
   }
   if ((mask & kTidChanged) != 0) {
-    tail_state_.tid = e.tid;
-    put_varint(buf_, e.tid);
+    tail.tid = e.tid;
+    put_varint(out, e.tid);
   }
-  put_varint(buf_, zigzag(e.ts_ns - tail_state_.ts));
-  tail_state_.ts = e.ts_ns;
-  if (e.ph == TracePhase::kComplete) put_varint(buf_, static_cast<std::uint64_t>(e.dur_ns));
+  put_delta(out, e.ts_ns, tail.ts);
+  tail.ts = e.ts_ns;
+  if (e.ph == TracePhase::kComplete) put_varint(out, static_cast<std::uint64_t>(e.dur_ns));
   if (e.has_value) {
-    put_varint(buf_, zigzag(e.value - tail_state_.value));
-    tail_state_.value = e.value;
+    put_delta(out, e.value, tail.value);
+    tail.value = e.value;
   }
-  ++count_;
 }
 
-TraceEvent EventTracer::decode(std::size_t& off, FieldState& state) const {
-  const std::uint8_t mask = buf_[off++];
-  if ((mask & kNameChanged) != 0) {
-    state.name_id = static_cast<std::uint32_t>(get_varint(buf_, off));
-    state.name = interned_[state.name_id];
-  }
-  if ((mask & kCatChanged) != 0) {
-    state.cat_id = static_cast<std::uint32_t>(get_varint(buf_, off));
-    state.cat = interned_[state.cat_id];
-  }
-  if ((mask & kTidChanged) != 0) state.tid = static_cast<std::uint32_t>(get_varint(buf_, off));
-  state.ts += unzigzag(get_varint(buf_, off));
+TraceEvent EventTracer::Codec::decode(const std::vector<std::uint8_t>& in, std::size_t& off,
+                                      State& state) const {
+  const std::uint8_t mask = in[off++];
+  if ((mask & kNameChanged) != 0) state.name = interned[get_varint(in, off)];
+  if ((mask & kCatChanged) != 0) state.cat = interned[get_varint(in, off)];
+  if ((mask & kTidChanged) != 0) state.tid = static_cast<std::uint32_t>(get_varint(in, off));
+  state.ts = get_delta(in, off, state.ts);
   TraceEvent e;
   e.name = state.name;
   e.cat = state.cat;
   e.tid = state.tid;
   e.ts_ns = state.ts;
   e.ph = static_cast<TracePhase>(mask & kPhaseMask);
-  if (e.ph == TracePhase::kComplete)
-    e.dur_ns = static_cast<std::int64_t>(get_varint(buf_, off));
+  if (e.ph == TracePhase::kComplete) e.dur_ns = static_cast<std::int64_t>(get_varint(in, off));
   if ((mask & kHasValue) != 0) {
-    state.value += unzigzag(get_varint(buf_, off));
+    state.value = get_delta(in, off, state.value);
     e.value = state.value;
     e.has_value = true;
   }
   return e;
 }
 
-void EventTracer::drop_oldest() {
-  decode(head_off_, head_state_);
-  --count_;
-  ++dropped_;
-  // Shift the sequential cursor: yesterday's index i is today's i-1.
-  if (cursor_valid_) {
-    if (cursor_index_ == 0)
-      cursor_valid_ = false;
-    else
-      --cursor_index_;
-  }
-  compact();
-}
-
-void EventTracer::compact() {
-  // Reclaim the decoded prefix once it dominates the buffer, so memory
-  // tracks the retained events rather than everything ever captured.
-  if (head_off_ < (1u << 16) || head_off_ * 2 < buf_.size()) return;
-  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_off_));
-  if (cursor_valid_) cursor_off_ -= head_off_;
-  head_off_ = 0;
-}
-
-TraceEvent EventTracer::at(std::size_t i) const {
+void EventTracer::push(const TraceEvent& e) {
   sync::MutexLock lock(mu_);
-  if (i >= count_) throw std::out_of_range("EventTracer::at");
-  if (!cursor_valid_ || i < cursor_index_) {
-    cursor_index_ = 0;
-    cursor_off_ = head_off_;
-    cursor_state_ = head_state_;
-    cursor_valid_ = true;
-  }
-  TraceEvent e;
-  do {
-    e = decode(cursor_off_, cursor_state_);
-    ++cursor_index_;
-  } while (cursor_index_ <= i);
-  return e;
+  ring_.push(e);
 }
 
 void EventTracer::complete(const char* name, const char* cat, sim::TimePoint begin,
@@ -181,7 +110,6 @@ void EventTracer::complete(const char* name, const char* cat, sim::TimePoint beg
   e.dur_ns = dur.ns();
   e.tid = tid;
   e.ph = TracePhase::kComplete;
-  sync::MutexLock lock(mu_);
   push(e);
 }
 
@@ -193,7 +121,6 @@ void EventTracer::instant(const char* name, const char* cat, std::uint32_t tid) 
   e.ts_ns = sim_->now().ns();
   e.tid = tid;
   e.ph = TracePhase::kInstant;
-  sync::MutexLock lock(mu_);
   push(e);
 }
 
@@ -208,7 +135,6 @@ void EventTracer::instant_value(const char* name, const char* cat, std::int64_t 
   e.has_value = true;
   e.tid = tid;
   e.ph = TracePhase::kInstant;
-  sync::MutexLock lock(mu_);
   push(e);
 }
 
@@ -223,20 +149,12 @@ void EventTracer::counter(const char* name, const char* cat, std::int64_t value,
   e.has_value = true;
   e.tid = tid;
   e.ph = TracePhase::kCounter;
-  sync::MutexLock lock(mu_);
   push(e);
 }
 
 void EventTracer::clear() {
   sync::MutexLock lock(mu_);
-  buf_.clear();
-  buf_.shrink_to_fit();
-  head_off_ = 0;
-  count_ = 0;
-  dropped_ = 0;
-  tail_state_ = FieldState{};
-  head_state_ = FieldState{};
-  cursor_valid_ = false;
+  ring_.clear();
   // The intern table survives (pointers are literals or owned_names_,
   // and ids are only meaningful alongside buffered events, which are gone).
 }
@@ -266,10 +184,7 @@ std::string EventTracer::export_chrome_json() const {
     out += buf;
     first = false;
   }
-  std::size_t off = head_off_;
-  FieldState state = head_state_;
-  for (std::size_t i = 0; i < count_; ++i) {
-    const TraceEvent e = decode(off, state);
+  ring_.for_each(0, [&](const TraceEvent& e) {
     std::snprintf(buf, sizeof buf, "%s{\"name\":\"%s\",\"cat\":\"%s\",\"pid\":0,\"tid\":%u,",
                   first ? "" : ",", e.name, e.cat, e.tid);
     out += buf;
@@ -297,7 +212,7 @@ std::string EventTracer::export_chrome_json() const {
         out += buf;
         break;
     }
-  }
+  });
   out += "]}";
   return out;
 }

@@ -13,10 +13,11 @@
 //   * instant  ("i")  — a point event, optionally carrying a value;
 //   * counter  ("C")  — a sampled level (queue depth lanes).
 //
-// Storage uses the delta/mask capture idiom of hardware trace loggers:
-// instead of a fixed 40+-byte struct per event, each event is one mask
-// byte naming which fields differ from the previous event, followed by
-// varint-encoded deltas for just those fields (timestamps zigzag-delta
+// Storage is the layer's one delta-encoded ring (obs/delta_ring.hpp),
+// which the FlightRecorder shares. The tracer supplies only the event
+// codec: instead of a fixed 40+-byte struct per event, each event is one
+// mask byte naming which fields differ from the previous event, followed
+// by varint-encoded deltas for just those fields (timestamps zigzag-delta
 // against the previous event, names/categories intern to small ids).
 // Consecutive hot-path events mostly repeat name/cat/tid, so a typical
 // event costs a handful of bytes — million-event production traces stay
@@ -30,9 +31,9 @@
 // When the tracer is disabled every emit call is a single predictable
 // branch; ScopedSpan degenerates to storing one null pointer.
 //
-// Thread safety: the delta codec's state (tail/head references, intern
-// table, decode cursor) is one capability — a sync::Mutex guards the
-// whole ring, so concurrent producers may emit events and a reader may
+// Thread safety: the ring (codec references, intern table, decode
+// cursor) and the lane names are one capability — a sync::Mutex guards
+// them all, so concurrent producers may emit events and a reader may
 // export while they do. The enabled gate stays a lock-free atomic so a
 // disabled tracer still costs one predictable branch per call site.
 // Note that `now()` reads SIMULATED time: events emitted off the
@@ -48,6 +49,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/delta_ring.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 #include "sync/sync.hpp"
@@ -69,8 +71,8 @@ struct TraceEvent {
 
 class EventTracer {
  public:
-  /// `capacity` bounds RETAINED EVENTS (not bytes); the oldest event is
-  /// evicted when a push would exceed it, exactly as the old fixed ring.
+  /// `capacity` bounds RETAINED EVENTS (not bytes), fixed for the
+  /// tracer's life; the oldest event is evicted when a push would exceed it.
   explicit EventTracer(const sim::Simulator& sim, std::size_t capacity = 1 << 16);
 
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
@@ -98,25 +100,31 @@ class EventTracer {
   /// Events currently retained (<= capacity).
   [[nodiscard]] std::size_t size() const TRAIL_EXCLUDES(mu_) {
     sync::MutexLock lock(mu_);
-    return count_;
+    return ring_.size();
   }
-  [[nodiscard]] std::size_t capacity() const { return cap_events_; }
+  [[nodiscard]] std::size_t capacity() const TRAIL_EXCLUDES(mu_) {
+    sync::MutexLock lock(mu_);
+    return ring_.capacity();
+  }
   /// Events evicted because the ring was full.
   [[nodiscard]] std::uint64_t dropped() const TRAIL_EXCLUDES(mu_) {
     sync::MutexLock lock(mu_);
-    return dropped_;
+    return ring_.dropped();
   }
-  /// Oldest-first event access (i in [0, size())). Sequential access is
-  /// O(1) amortized via an internal decode cursor; random access decodes
-  /// forward from the oldest retained event.
-  [[nodiscard]] TraceEvent at(std::size_t i) const TRAIL_EXCLUDES(mu_);
+  /// Oldest-first event access (i in [0, size()), else std::out_of_range).
+  /// Sequential access is O(1) amortized via the ring's decode cursor;
+  /// random access decodes forward from the oldest retained event.
+  [[nodiscard]] TraceEvent at(std::size_t i) const TRAIL_EXCLUDES(mu_) {
+    sync::MutexLock lock(mu_);
+    return ring_.at(i);
+  }
 
   /// Bytes currently held by the delta/mask-encoded event stream — the
   /// compression the capture path buys (compare against
   /// size() * sizeof(TraceEvent) for the fixed-slot cost).
   [[nodiscard]] std::size_t encoded_bytes() const TRAIL_EXCLUDES(mu_) {
     sync::MutexLock lock(mu_);
-    return buf_.size() - head_off_;
+    return ring_.encoded_bytes();
   }
 
   void clear() TRAIL_EXCLUDES(mu_);
@@ -127,52 +135,37 @@ class EventTracer {
   [[nodiscard]] std::string export_chrome_json() const TRAIL_EXCLUDES(mu_);
 
  private:
-  /// Absolute field values at a point in the stream; the delta codec's
-  /// reference. Default-initialized == the state before the first event.
-  struct FieldState {
-    const char* name = nullptr;
-    const char* cat = nullptr;
-    std::uint32_t name_id = 0;
-    std::uint32_t cat_id = 0;
-    std::uint32_t tid = 0;
-    std::int64_t ts = 0;
-    std::int64_t value = 0;
+  /// The event format inside the ring: mask bits, field deltas and the
+  /// name/category intern table (pointer identity; literals repeat).
+  struct Codec {
+    using Record = TraceEvent;
+    /// Absolute field values at a point in the stream.
+    struct State {
+      const char* name = nullptr;
+      const char* cat = nullptr;
+      std::uint32_t tid = 0;
+      std::int64_t ts = 0;
+      std::int64_t value = 0;
+    };
+
+    void encode(const TraceEvent& e, State& tail, std::vector<std::uint8_t>& out);
+    TraceEvent decode(const std::vector<std::uint8_t>& in, std::size_t& off,
+                      State& state) const;
+    std::uint32_t intern(const char* s);
+
+    std::vector<const char*> interned{nullptr};  // id 0 == none yet
+    std::map<const char*, std::uint32_t> intern_ids;
   };
 
-  void push(const TraceEvent& e) TRAIL_REQUIRES(mu_);
-  void drop_oldest() TRAIL_REQUIRES(mu_);
-  void compact() TRAIL_REQUIRES(mu_);
-  [[nodiscard]] std::uint32_t intern(const char* s) TRAIL_REQUIRES(mu_);
-  /// Decode the event at byte offset `off` given the prior state; both
-  /// advance past it.
-  TraceEvent decode(std::size_t& off, FieldState& state) const TRAIL_REQUIRES(mu_);
+  void push(const TraceEvent& e) TRAIL_EXCLUDES(mu_);
 
   const sim::Simulator* const sim_;  // set at construction, never reseated
-  const std::size_t cap_events_;
   std::atomic<bool> enabled_{false};
 
   mutable sync::Mutex mu_;  // one capability over the whole codec state
-  std::vector<std::uint8_t> buf_ TRAIL_GUARDED_BY(mu_);  // delta/mask event stream
-  std::size_t head_off_ TRAIL_GUARDED_BY(mu_) = 0;  // byte offset of the oldest event
-  std::size_t count_ TRAIL_GUARDED_BY(mu_) = 0;
-  std::uint64_t dropped_ TRAIL_GUARDED_BY(mu_) = 0;
-
-  FieldState tail_state_ TRAIL_GUARDED_BY(mu_);  // encoder ref: the last captured event
-  FieldState head_state_ TRAIL_GUARDED_BY(mu_);  // decoder ref: before the oldest event
-
-  // Name/category interning (pointer identity; literals repeat).
-  std::vector<const char*> interned_ TRAIL_GUARDED_BY(mu_){nullptr};  // id 0 == none yet
-  std::map<const char*, std::uint32_t> intern_ids_ TRAIL_GUARDED_BY(mu_);
+  DeltaRing<Codec> ring_ TRAIL_GUARDED_BY(mu_);
   /// Storage behind intern_name(); set nodes never move.
   std::set<std::string, std::less<>> owned_names_ TRAIL_GUARDED_BY(mu_);
-
-  // Sequential-access cursor for at(): the state needed to decode event
-  // index cursor_index_ at byte offset cursor_off_.
-  mutable bool cursor_valid_ TRAIL_GUARDED_BY(mu_) = false;
-  mutable std::size_t cursor_index_ TRAIL_GUARDED_BY(mu_) = 0;
-  mutable std::size_t cursor_off_ TRAIL_GUARDED_BY(mu_) = 0;
-  mutable FieldState cursor_state_ TRAIL_GUARDED_BY(mu_);
-
   std::map<std::uint32_t, std::string> track_names_ TRAIL_GUARDED_BY(mu_);
 };
 

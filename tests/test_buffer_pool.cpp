@@ -126,6 +126,55 @@ TEST_F(BufferPoolTest, FlushDirtySkipsPinned) {
   pool->unpin(fid, 2);
 }
 
+// A rewrite that lands while the page's write is in flight must keep the
+// frame dirty: the write carries the bytes from before the rewrite.
+TEST_F(BufferPoolTest, RewriteDuringCheckpointWriteStaysDirty) {
+  with_page(1, [&](std::span<std::byte> p) {
+    p[0] = std::byte{0xAA};
+    pool->mark_dirty(fid, 1);
+  });
+  bool flushed = false;
+  pool->flush_dirty([&] { flushed = true; });
+  bool rewritten = false;
+  pool->fetch(fid, 1, [&](std::span<std::byte> p) {
+    EXPECT_FALSE(flushed) << "the rewrite must land while the write is in flight";
+    p[0] = std::byte{0xBB};
+    pool->mark_dirty(fid, 1);
+    rewritten = true;
+  });
+  while (!flushed) ASSERT_TRUE(sim.step());
+  ASSERT_TRUE(rewritten);
+  EXPECT_EQ(pool->dirty_pages(), 1u) << "the checkpoint wrote the old bytes";
+  // Evict page 1, then refetch it: the rewrite must survive.
+  for (PageNo p = 10; p < 16; ++p) with_page(p, [](std::span<std::byte>) {});
+  sim.run();
+  with_page(1, [&](std::span<std::byte> p) { EXPECT_EQ(p[0], std::byte{0xBB}); });
+}
+
+TEST_F(BufferPoolTest, RewriteDuringEvictionWriteKeepsFrame) {
+  with_page(1, [&](std::span<std::byte> p) {
+    p[0] = std::byte{0xAA};
+    pool->mark_dirty(fid, 1);
+  });
+  for (PageNo p = 10; p < 13; ++p) with_page(p, [](std::span<std::byte>) {});
+  // The fifth frame makes page 1, the LRU tail, a dirty victim.
+  pool->fetch(fid, 13, [](std::span<std::byte>) {});
+  ASSERT_EQ(pool->stats().dirty_writebacks, 1u);
+  bool rewritten = false;
+  pool->fetch(fid, 1, [&](std::span<std::byte> p) {
+    EXPECT_EQ(pool->stats().evictions, 0u) << "the rewrite must land while the write is in flight";
+    p[0] = std::byte{0xBB};
+    pool->mark_dirty(fid, 1);
+    rewritten = true;
+  });
+  sim.run();
+  ASSERT_TRUE(rewritten);
+  // Evict page 1, then refetch it: the rewrite must survive.
+  for (PageNo p = 20; p < 26; ++p) with_page(p, [](std::span<std::byte>) {});
+  sim.run();
+  with_page(1, [&](std::span<std::byte> p) { EXPECT_EQ(p[0], std::byte{0xBB}); });
+}
+
 TEST_F(BufferPoolTest, ResetDropsEverything) {
   with_page(1, [&](std::span<std::byte> p) {
     p[0] = std::byte{0x55};

@@ -200,6 +200,42 @@ TEST(EventTracer, LongEvictionStreamStaysBoundedAndCorrect) {
   EXPECT_LT(tracer.encoded_bytes(), kCap * sizeof(TraceEvent) + (1u << 17));
 }
 
+TEST(EventTracer, CodecRoundTripsExtremeTimesAndValues) {
+  // Timestamps and values at the int64 edges, moving backwards as well as
+  // forwards: every delta must wrap and decode to the exact field.
+  sim::Simulator sim;
+  EventTracer tracer(sim, 64);
+  tracer.set_enabled(true);
+  const std::vector<std::int64_t> edges = {0,         1, -1, INT64_MIN, INT64_MAX,
+                                           INT64_MIN, 0, -1, INT64_MAX, 1};
+  for (const std::int64_t v : edges) {
+    tracer.complete("span", "test", sim::TimePoint{v}, sim::Duration{v});
+    tracer.counter("level", "test", v);
+  }
+  ASSERT_EQ(tracer.size(), 2 * edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const TraceEvent span = tracer.at(2 * i);
+    EXPECT_EQ(span.ph, TracePhase::kComplete);
+    EXPECT_EQ(span.ts_ns, edges[i]) << i;
+    EXPECT_EQ(span.dur_ns, edges[i]) << i;
+    const TraceEvent level = tracer.at(2 * i + 1);
+    EXPECT_EQ(level.ph, TracePhase::kCounter);
+    EXPECT_EQ(level.ts_ns, 0) << i;
+    EXPECT_EQ(level.value, edges[i]) << i;
+  }
+}
+
+TEST(EventTracer, AtOutOfRangeThrows) {
+  sim::Simulator sim;
+  EventTracer tracer(sim, 4);
+  tracer.set_enabled(true);
+  EXPECT_THROW((void)tracer.at(0), std::out_of_range);
+  for (int i = 0; i < 6; ++i) tracer.instant_value("tick", "test", i);
+  EXPECT_EQ(tracer.at(3).value, 5);
+  EXPECT_THROW((void)tracer.at(4), std::out_of_range);
+  EXPECT_THROW((void)tracer.at(SIZE_MAX), std::out_of_range);
+}
+
 TEST(EventTracer, DisabledTracerRecordsNothing) {
   sim::Simulator sim;
   EventTracer tracer(sim, 8);

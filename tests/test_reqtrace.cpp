@@ -4,7 +4,9 @@
 // OpenMetrics exposition's determinism + shard-label lifting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -167,12 +169,64 @@ TEST(FlightRecorder, SteadyStateRecordsEncodeCompactly) {
       << "delta/mask encoding lost its advantage";
 }
 
-TEST(FlightRecorder, ShrinkingCapacityDropsOldest) {
-  FlightRecorder ring(16);
-  for (std::uint64_t i = 0; i < 16; ++i) ring.push(sample_record(i));
-  ring.set_capacity(4);
-  ASSERT_EQ(ring.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(ring.at(i), sample_record(12 + i));
+TEST(FlightRecorder, LongEvictionStreamStaysBoundedAndCorrect) {
+  // Push far past capacity so eviction and compaction both run many
+  // times; the retained window must still decode exactly, and the byte
+  // buffer must track the retained records, not the whole history.
+  constexpr std::size_t kCap = 512;
+  constexpr std::uint64_t kTotal = 100'000;
+  FlightRecorder ring(kCap);
+  for (std::uint64_t i = 0; i < kTotal; ++i) {
+    ring.push(sample_record(i));
+    // Reading the newest record after every push keeps the decode cursor
+    // alive across each eviction and compaction under it.
+    if (i >= kCap) {
+      ASSERT_EQ(ring.at(kCap - 1), sample_record(i)) << i;
+    }
+  }
+  EXPECT_EQ(ring.size(), kCap);
+  EXPECT_EQ(ring.capacity(), kCap);
+  EXPECT_EQ(ring.dropped(), kTotal - kCap);
+  for (std::size_t i = 0; i < kCap; ++i)
+    EXPECT_EQ(ring.at(i), sample_record(kTotal - kCap + i)) << i;
+  EXPECT_EQ(ring.at(0), sample_record(kTotal - kCap));  // a backward step
+  EXPECT_LT(ring.encoded_bytes(), kCap * sizeof(FlightRecord));
+  // The dump walks the same window.
+  const std::string tail = ring.dump_tail(1);
+  EXPECT_NE(tail.find("id=" + std::to_string(kTotal) + " "), std::string::npos) << tail;
+}
+
+TEST(FlightRecorder, CodecRoundTripsExtremeValues) {
+  // Every field at its edges, with ids that decrease and submit times
+  // that go backwards: each delta must wrap and decode exactly.
+  const std::vector<std::uint64_t> ids = {0, 1, UINT64_MAX, 1, 0, INT64_MAX, UINT64_MAX, 0};
+  const std::vector<std::int64_t> times = {0,  1,         -1, INT64_MIN,
+                                           INT64_MAX, INT64_MIN, 0, -1};
+  FlightRecorder ring(64);
+  std::vector<FlightRecord> pushed;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    FlightRecord r;
+    r.id = ids[i];
+    r.shard = i % 2 == 0 ? UINT32_MAX : 0;
+    r.sectors = i % 3 == 0 ? UINT32_MAX : 1;
+    r.flags = i % 2 == 0 ? std::uint8_t{0xFF} : std::uint8_t{0};
+    r.submit_ns = times[i];
+    r.total_ns = times[times.size() - 1 - i];
+    for (std::size_t p = 0; p < obs::kReqPhaseCount; ++p) r.phase_ns[p] = times[(i + p) % 8];
+    pushed.push_back(r);
+    ring.push(r);
+  }
+  ASSERT_EQ(ring.size(), pushed.size());
+  for (std::size_t i = 0; i < pushed.size(); ++i) EXPECT_EQ(ring.at(i), pushed[i]) << i;
+}
+
+TEST(FlightRecorder, AtOutOfRangeThrows) {
+  FlightRecorder ring(4);
+  EXPECT_THROW((void)ring.at(0), std::out_of_range);
+  for (std::uint64_t i = 0; i < 6; ++i) ring.push(sample_record(i));
+  EXPECT_EQ(ring.at(3), sample_record(5));
+  EXPECT_THROW((void)ring.at(4), std::out_of_range);
+  EXPECT_THROW((void)ring.at(SIZE_MAX), std::out_of_range);
 }
 
 TEST(FlightRecorder, DumpIsDeterministicIntegerText) {

@@ -44,9 +44,8 @@ void threshold_sweep() {
 void scheduler_comparison() {
   print_heading("B. standard-driver scheduler: FIFO vs C-LOOK (random 1KB sync writes, MPL 5)");
   sim::TablePrinter table({"scheduler", "latency (ms)", "p99 (ms)"});
-  for (const auto sched : {io::StandardDriver::Scheduling::kFifo,
-                           io::StandardDriver::Scheduling::kClook}) {
-    StandardStack stack(1, sched);
+  for (const auto order : {io::Order::kFifo, io::Order::kClook}) {
+    StandardStack stack(1, order);
     SyncWriteWorkload::Params p;
     p.processes = 5;
     p.write_sectors = 2;
@@ -54,7 +53,7 @@ void scheduler_comparison() {
     p.writes_per_process = 200;
     const auto lat = SyncWriteWorkload::run(stack.sim, *stack.driver, stack.devices,
                                             stack.data_disks[0]->geometry().total_sectors(), p);
-    table.add_row({sched == io::StandardDriver::Scheduling::kFifo ? "FIFO" : "C-LOOK",
+    table.add_row({order == io::Order::kFifo ? "FIFO" : "C-LOOK",
                    sim::TablePrinter::fmt(lat.mean_ms(), 2),
                    sim::TablePrinter::fmt(lat.percentile_ms(99), 2)});
   }
@@ -128,7 +127,7 @@ void write_cache_durability() {
   auto run_std = [](bool wce) {
     disk::DiskProfile p = disk::wd_caviar_10g();
     p.write_cache_enabled = wce;
-    StandardStack stack(1, io::StandardDriver::Scheduling::kClook, p);
+    StandardStack stack(1, io::Order::kClook, p);
     sim::Rng rng(3);
     std::vector<std::byte> data(2 * disk::kSectorSize, std::byte{7});
     sim::Summary lat;

@@ -94,10 +94,9 @@ struct StandardStack {
   std::vector<io::DeviceId> devices;
 
   explicit StandardStack(int data_disk_count = 3,
-                         io::StandardDriver::Scheduling scheduling =
-                             io::StandardDriver::Scheduling::kClook,
+                         io::Order order = io::Order::kClook,
                          disk::DiskProfile data_profile = disk::wd_caviar_10g()) {
-    driver = std::make_unique<io::StandardDriver>(scheduling);
+    driver = std::make_unique<io::StandardDriver>(order);
     for (int i = 0; i < data_disk_count; ++i) {
       data_disks.push_back(std::make_unique<disk::DiskDevice>(sim, data_profile));
       devices.push_back(driver->add_device(*data_disks.back()));

@@ -127,7 +127,6 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
         m.obs_->metrics.gauge(m.metric_prefix_ + "recovery.inflight_reads").set(max_inflight);
     }
     io::PendingIo io;
-    io.is_write = false;
     io.lba = rlba;
     io.count = count;
     io.out = out;
@@ -771,8 +770,7 @@ void RecoveryManager::start(std::uint32_t target_epoch, const Options& options,
   // have left dead entries (whose weak Pipe references no longer lock).
   read_queues_.clear();
   for (Unit& unit : units_)
-    read_queues_.push_back(
-        std::make_unique<io::DeviceQueue>(*unit.device, io::make_clook_scheduler()));
+    read_queues_.push_back(std::make_unique<io::DeviceQueue>(*unit.device, io::Order::kClook));
   if (obs_ != nullptr)
     obs_->metrics.gauge(metric_prefix_ + "recovery.pipeline_depth").set(p.depth);
   p.start_locate();

@@ -55,8 +55,7 @@ io::DeviceId TrailDriver::add_data_disk(disk::DiskDevice& device) {
   if (mounted_) throw std::logic_error("TrailDriver: add data disks before mount()");
   // Reads drain first in arrival order; write-backs are CSCAN-ordered and
   // coalesce in-queue (§4.2–§4.3).
-  data_queues_.push_back(
-      std::make_unique<io::DeviceQueue>(device, io::make_writeback_scheduler()));
+  data_queues_.push_back(std::make_unique<io::DeviceQueue>(device, io::Order::kFifo));
   data_disks_.push_back(&device);
   const auto minor = static_cast<std::uint8_t>(data_queues_.size() - 1);
   if (obs_ != nullptr) attach_data_queue_obs(minor);
@@ -381,22 +380,7 @@ RecoveryManager::DataWriteFn TrailDriver::make_recovery_data_write() {
   // sweep across the platter.
   return [this](io::DeviceId dev, disk::Lba lba, std::span<const std::byte> data,
                 std::function<void()> done) {
-    const auto count = static_cast<std::uint32_t>(data.size() / disk::kSectorSize);
-    auto image = std::make_shared<std::vector<std::byte>>(data.begin(), data.end());
-    io::PendingIo io;
-    io.is_write = true;
-    io.lba = lba;
-    io.count = count;
-    io.priority = 1;
-    io::PendingIo::WbRange range;
-    range.lba = lba;
-    range.count = count;
-    range.fill = [image](std::span<std::byte> out) {
-      std::memcpy(out.data(), image->data(), image->size());
-    };
-    range.done = std::move(done);
-    io.ranges.push_back(std::move(range));
-    data_queue(dev).submit(std::move(io));
+    data_queue(dev).submit(io::PendingIo::write(lba, data, std::move(done), /*priority=*/1));
   };
 }
 
@@ -1082,7 +1066,6 @@ void TrailDriver::enqueue_writeback(io::DeviceId dev, disk::Lba lba, std::uint32
     obs_->tracer.instant_value("wb.enqueue", "wb", count, lanes_.driver_tid);
 
   io::PendingIo io;
-  io.is_write = true;
   io.lba = lba;
   io.count = count;
   io.priority = 1;  // below reads (§4.3)
@@ -1096,7 +1079,7 @@ void TrailDriver::enqueue_writeback(io::DeviceId dev, disk::Lba lba, std::uint32
       obs_->tracer.instant_value("wb.dispatch", "wb", nranges, lanes_.driver_tid);
   };
 
-  io::PendingIo::WbRange range;
+  io::PendingIo::Range range;
   range.lba = lba;
   range.count = count;
   // A newer overlapping write-back already put content at least this new
@@ -1149,7 +1132,6 @@ void TrailDriver::submit_read(io::BlockAddr addr, std::uint32_t count, std::span
     return;
   }
   io::PendingIo io;
-  io.is_write = false;
   io.lba = addr.lba;
   io.count = count;
   io.out = out;

@@ -243,13 +243,9 @@ class TrailDriver final : public io::BlockDriver {
 
   [[nodiscard]] const TrailStats& stats() const { return stats_; }
   [[nodiscard]] const RecoveryStats& last_recovery() const { return last_recovery_; }
-  /// Allocator / predictor of log disk 0 (stats & tests); use the unit
-  /// accessors for multi-log-disk setups.
+  /// Allocator / predictor of log disk 0 (stats & tests).
   [[nodiscard]] const TrackAllocator& allocator() const { return *units_[0].allocator; }
   [[nodiscard]] const HeadPredictor& predictor() const { return *units_[0].predictor; }
-  [[nodiscard]] const TrackAllocator& allocator_of(std::size_t unit) const {
-    return *units_.at(unit).allocator;
-  }
   [[nodiscard]] const BufferManager& buffers() const { return *buffers_; }
   [[nodiscard]] const TrailConfig& config() const { return config_; }
 

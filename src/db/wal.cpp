@@ -176,21 +176,7 @@ void LogManager::start_flush() {
     auto alive = alive_;
     const sim::TimePoint submit_time = sim_.now();
     direct_append_(bytes, from, [this, alive, submit_time] {
-      if (!*alive) return;
-      if (obs_ != nullptr && obs_->tracer.enabled())
-        obs_->tracer.complete("wal.flush", "wal", submit_time, sim_.now() - submit_time,
-                              obs::kWalTid);
-      note_flush_span(submit_time);
-      stats_.flush_io_time += sim_.now() - submit_time;
-      stats_.flushed_bytes += flush_target_ - durable_lsn_;
-      durable_lsn_ = flush_target_;
-      flush_in_flight_ = false;
-      // Direct appends never rewrite a tail: drop everything durable.
-      buffer_.erase(buffer_.begin(),
-                    buffer_.begin() + static_cast<std::ptrdiff_t>(durable_lsn_ - buffer_base_));
-      buffer_base_ = durable_lsn_;
-      complete_waiters();
-      if (!waiters_.empty()) start_flush();
+      if (*alive) finish_flush(submit_time);
     });
     return;
   }
@@ -241,25 +227,7 @@ void LogManager::start_flush() {
     if (!*alive) return;
     if (--fs->outstanding > 0) return;
     auto finish = [this, alive, fs] {
-      if (!*alive) return;
-      if (obs_ != nullptr && obs_->tracer.enabled())
-        obs_->tracer.complete("wal.flush", "wal", fs->submit_time,
-                              sim_.now() - fs->submit_time, obs::kWalTid);
-      note_flush_span(fs->submit_time);
-      stats_.flush_io_time += sim_.now() - fs->submit_time;
-      stats_.flushed_bytes += flush_target_ - durable_lsn_;
-      durable_lsn_ = flush_target_;
-      flush_in_flight_ = false;
-      // Trim the buffer to full flushed sectors (keep the partial tail).
-      const Lsn keep_from = durable_lsn_ / disk::kSectorSize * disk::kSectorSize;
-      if (keep_from > buffer_base_) {
-        buffer_.erase(buffer_.begin(),
-                      buffer_.begin() + static_cast<std::ptrdiff_t>(keep_from - buffer_base_));
-        buffer_base_ = keep_from;
-      }
-      complete_waiters();
-      // More records may have arrived during the flush.
-      if (!waiters_.empty()) start_flush();
+      if (*alive) finish_flush(fs->submit_time);
     };
     // O_SYNC: a flush that grew the log file (every append does — i_size
     // is byte-granular) must also make the inode durable before
@@ -339,15 +307,27 @@ void LogManager::audit(audit::Report& report, bool quiescent) const {
   }
 }
 
-void LogManager::note_flush_span(sim::TimePoint submit_time) {
-  if (h_flush_ == nullptr) return;
+void LogManager::finish_flush(sim::TimePoint submit_time) {
   const sim::Duration span = sim_.now() - submit_time;
-  h_flush_->record(span);
-  if (config_.flush_stall_bound > sim::Duration{0} && span > config_.flush_stall_bound) {
-    c_flush_stalls_->inc();
-    if (obs_->tracer.enabled())
-      obs_->tracer.instant_value("req.stall.wal_flush", "wal", span.ns(), obs::kWalTid);
+  if (obs_ != nullptr && obs_->tracer.enabled())
+    obs_->tracer.complete("wal.flush", "wal", submit_time, span, obs::kWalTid);
+  if (h_flush_ != nullptr) h_flush_->record(span);
+  stats_.flush_io_time += span;
+  stats_.flushed_bytes += flush_target_ - durable_lsn_;
+  durable_lsn_ = flush_target_;
+  flush_in_flight_ = false;
+  // Trim the buffer to what the next flush still needs: an O_SYNC append
+  // rewrites the partial tail sector, a direct append is byte-granular.
+  const Lsn keep_from =
+      direct_mode() ? durable_lsn_ : durable_lsn_ / disk::kSectorSize * disk::kSectorSize;
+  if (keep_from > buffer_base_) {
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(keep_from - buffer_base_));
+    buffer_base_ = keep_from;
   }
+  complete_waiters();
+  // More records may have arrived during the flush.
+  if (!waiters_.empty()) start_flush();
 }
 
 void LogManager::complete_waiters() {

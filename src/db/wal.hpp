@@ -64,10 +64,6 @@ struct WalConfig {
   std::uint64_t region_sectors = 0;   // region capacity
   bool group_commit = false;
   std::size_t group_commit_bytes = 50 * 1024;  // paper default: 50 KB
-  /// Stall watchdog bound for a single synchronous flush (submit ->
-  /// durable). A flush exceeding it bumps "req.stalls.wal_flush". 0
-  /// disables the check.
-  sim::Duration flush_stall_bound{0};
 };
 
 struct WalStats {
@@ -90,14 +86,12 @@ class LogManager {
   ~LogManager() { *alive_ = false; }
 
   /// Optional observability: a commit-wait histogram ("wal.commit_wait_ns"),
-  /// a per-flush span histogram ("wal.flush_ns") with a stall counter
-  /// ("req.stalls.wal_flush", see WalConfig::flush_stall_bound), flush
-  /// spans ("wal.flush") and deferred-commit instants on the WAL lane.
+  /// a per-flush span histogram ("wal.flush_ns"), flush spans
+  /// ("wal.flush") and deferred-commit instants on the WAL lane.
   void attach_obs(obs::Obs* obs) {
     obs_ = obs;
     h_commit_wait_ = obs != nullptr ? &obs->metrics.histogram("wal.commit_wait_ns") : nullptr;
     h_flush_ = obs != nullptr ? &obs->metrics.histogram("wal.flush_ns") : nullptr;
-    c_flush_stalls_ = obs != nullptr ? &obs->metrics.counter("req.stalls.wal_flush") : nullptr;
     if (obs != nullptr) obs->tracer.set_track_name(obs::kWalTid, "wal");
   }
 
@@ -173,6 +167,9 @@ class LogManager {
 
  private:
   void start_flush();
+  /// The one completion of every flush (direct or O_SYNC): record its
+  /// span, advance the durable point, trim the buffer, wake waiters.
+  void finish_flush(sim::TimePoint submit_time);
   void complete_waiters();
 
   sim::Simulator& sim_;
@@ -182,10 +179,6 @@ class LogManager {
   obs::Obs* obs_ = nullptr;
   obs::Histogram* h_commit_wait_ = nullptr;
   obs::Histogram* h_flush_ = nullptr;
-  obs::Counter* c_flush_stalls_ = nullptr;
-  /// Record a completed flush span into the attribution metrics and run
-  /// the stall watchdog against WalConfig::flush_stall_bound.
-  void note_flush_span(sim::TimePoint submit_time);
 
   std::vector<std::byte> buffer_;  // bytes [buffer_base_, next_lsn_)
   Lsn buffer_base_ = 0;            // lsn of buffer_[0]

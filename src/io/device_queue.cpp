@@ -4,8 +4,8 @@
 
 namespace trail::io {
 
-DeviceQueue::DeviceQueue(disk::DiskDevice& device, std::unique_ptr<IoScheduler> scheduler)
-    : device_(device), scheduler_(std::move(scheduler)) {}
+DeviceQueue::DeviceQueue(disk::DiskDevice& device, Order order)
+    : device_(device), scheduler_(order) {}
 
 void DeviceQueue::attach_obs(obs::Obs* obs, std::uint32_t tid,
                              std::string_view depth_gauge_name,
@@ -27,69 +27,59 @@ void DeviceQueue::attach_obs(obs::Obs* obs, std::uint32_t tid,
 void DeviceQueue::update_depth() {
   if (depth_gauge_ == nullptr) return;
   const auto depth =
-      static_cast<std::int64_t>(scheduler_->size()) + (dispatched_ ? 1 : 0);
+      static_cast<std::int64_t>(scheduler_.size()) + (dispatched_ ? 1 : 0);
   depth_gauge_->set(depth);
   if (obs_->tracer.enabled())
     obs_->tracer.counter("io.queue_depth", "io", depth, obs_tid_);
 }
 
 void DeviceQueue::submit(PendingIo io) {
-  io.seq = next_seq_++;
-  // Batched write-backs coalesce into an already-queued adjacent/
-  // overlapping batch instead of occupying their own queue slot (§4.2).
-  if (!scheduler_->try_merge(io)) scheduler_->push(std::move(io));
+  scheduler_.push(std::move(io));
   pump();
-  update_depth();
-}
-
-void DeviceQueue::clear() {
-  while (!scheduler_->empty()) (void)scheduler_->pop_next(0);
   update_depth();
 }
 
 void DeviceQueue::pump() {
   if (dispatched_) return;
-  while (!scheduler_->empty()) {
+  while (!scheduler_.empty()) {
     const disk::Lba head =
         device_.geometry().first_lba_of_track(device_.current_track());
-    PendingIo io = scheduler_->pop_next(head);
+    PendingIo io = scheduler_.pop_next(head);
     if (!io.ranges.empty()) {
       if (begin_batch(std::move(io))) return;
       continue;  // every sub-range skipped; nothing reached the device
     }
     dispatched_ = true;
-    const bool is_write = io.is_write;
-    // Stamp `begin` only when tracing is live at dispatch; the completion
-    // checks the same flag so enabling the tracer mid-flight can't emit a
-    // span whose start predates the enable (it would begin at time 0).
-    const bool traced = obs_ != nullptr && obs_->tracer.enabled();
-    const bool timed = traced || h_service_ != nullptr;
-    sim::TimePoint begin{};
-    if (timed) begin = obs_->tracer.now();
-    auto finish = [this, is_write, traced, timed, begin, cb = std::move(io.on_complete)]() {
+    issue(false, io.lba, io.count, io.out, [this, cb = std::move(io.on_complete)] {
       dispatched_ = false;
-      if (timed && h_service_ != nullptr) h_service_->record(obs_->tracer.now() - begin);
-      if (traced && obs_ != nullptr && obs_->tracer.enabled())
-        obs_->tracer.complete(is_write ? "io.write" : "io.read", "io", begin,
-                              obs_->tracer.now() - begin, obs_tid_);
       update_depth();
       if (cb) cb();
       pump();
-      if (idle() && on_idle_) {
-        // Copy before invoking: the callback may replace or clear
-        // on_idle_ (StandardDriver::drain disarms every queue), which
-        // would destroy the std::function mid-execution.
-        const auto notify = on_idle_;
-        notify();
-      }
-    };
-    if (io.is_write) {
-      device_.write(io.lba, io.count, io.data, std::move(finish));
-    } else {
-      device_.read(io.lba, io.count, io.out, std::move(finish));
-    }
+    });
     return;
   }
+}
+
+void DeviceQueue::issue(bool write, disk::Lba lba, std::uint32_t count, std::span<std::byte> buf,
+                        std::function<void()> done) {
+  // Stamp `begin` only when tracing is live at dispatch; the completion
+  // checks the same flag so enabling the tracer mid-flight can't emit a
+  // span whose start predates the enable (it would begin at time 0).
+  const bool traced = obs_ != nullptr && obs_->tracer.enabled();
+  const bool timed = traced || h_service_ != nullptr;
+  sim::TimePoint begin{};
+  if (timed) begin = obs_->tracer.now();
+  auto finish = [this, write, traced, timed, begin, done = std::move(done)] {
+    if (timed && h_service_ != nullptr) h_service_->record(obs_->tracer.now() - begin);
+    if (traced && obs_ != nullptr && obs_->tracer.enabled())
+      obs_->tracer.complete(write ? "io.write" : "io.read", "io", begin,
+                            obs_->tracer.now() - begin, obs_tid_);
+    done();
+  };
+  if (write)
+    device_.write(lba, count, buf, std::move(finish));
+  else
+    device_.read(lba, count, buf, std::move(finish));
 }
 
 bool DeviceQueue::begin_batch(PendingIo io) {
@@ -168,25 +158,12 @@ void DeviceQueue::issue_batch_run() {
       if (r.done) r.done();
     update_depth();
     pump();
-    if (idle() && on_idle_) {
-      const auto notify = on_idle_;
-      notify();
-    }
     return;
   }
   BatchRun& run = b.runs[b.next++];
   const auto count = static_cast<std::uint32_t>(run.image.size() / disk::kSectorSize);
   if (b.on_dispatch) b.on_dispatch(run.ranges, count);
-  const bool traced = obs_ != nullptr && obs_->tracer.enabled();
-  const bool timed = traced || h_service_ != nullptr;
-  sim::TimePoint begin{};
-  if (timed) begin = obs_->tracer.now();
-  device_.write(run.lba, count, run.image, [this, traced, timed, begin] {
-    if (timed && h_service_ != nullptr) h_service_->record(obs_->tracer.now() - begin);
-    if (traced && obs_ != nullptr && obs_->tracer.enabled())
-      obs_->tracer.complete("io.write", "io", begin, obs_->tracer.now() - begin, obs_tid_);
-    issue_batch_run();
-  });
+  issue(true, run.lba, count, run.image, [this] { issue_batch_run(); });
 }
 
 }  // namespace trail::io

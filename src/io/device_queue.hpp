@@ -1,12 +1,12 @@
 // DeviceQueue: a scheduling front-end for one DiskDevice.
 //
 // The DiskDevice itself services commands strictly FIFO; the DeviceQueue
-// holds requests back and releases exactly one at a time so the chosen
-// IoScheduler policy (elevator, priority classes) actually controls
-// service order. Dispatch is work-conserving: whenever the device is
-// idle and anything is queued, the policy's next pick goes out; nothing
-// is held back to accumulate. Both the standard baseline driver and
-// Trail's write-back engine are built on it.
+// holds requests back and releases exactly one at a time so its
+// IoScheduler (priority classes, elevator) actually controls service
+// order. Dispatch is work-conserving: whenever the device is idle and
+// anything is queued, the scheduler's next pick goes out; nothing is held
+// back to accumulate. Both the standard baseline driver and Trail's
+// write-back engine are built on it.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,7 @@ namespace trail::io {
 
 class DeviceQueue {
  public:
-  DeviceQueue(disk::DiskDevice& device, std::unique_ptr<IoScheduler> scheduler);
+  DeviceQueue(disk::DiskDevice& device, Order order);
 
   DeviceQueue(const DeviceQueue&) = delete;
   DeviceQueue& operator=(const DeviceQueue&) = delete;
@@ -32,18 +32,9 @@ class DeviceQueue {
   void submit(PendingIo io);
 
   /// Requests queued here (excludes the one on the device).
-  [[nodiscard]] std::size_t queued() const { return scheduler_->size(); }
+  [[nodiscard]] std::size_t queued() const { return scheduler_.size(); }
   /// True when neither the queue nor the device holds work from us.
-  [[nodiscard]] bool idle() const { return !dispatched_ && scheduler_->empty(); }
-
-  [[nodiscard]] disk::DiskDevice& device() { return device_; }
-
-  /// Invoked whenever the queue becomes idle (used by drain logic).
-  void set_idle_callback(std::function<void()> cb) { on_idle_ = std::move(cb); }
-
-  /// Drop all queued requests (crash path). The in-flight one, if any, is
-  /// the DiskDevice's to forget.
-  void clear();
+  [[nodiscard]] bool idle() const { return !dispatched_ && scheduler_.empty(); }
 
   /// Optional observability: per-command service spans ("io.read" /
   /// "io.write") on lane `tid`, queue-depth gauge + counter lane, and a
@@ -55,18 +46,18 @@ class DeviceQueue {
                   std::string_view service_hist_name = {});
 
  private:
-  /// One contiguous platter write carved out of a batched write-back after
+  /// One contiguous platter write carved out of a write batch after
   /// skip-filtering (skipped sub-ranges can leave holes in the envelope).
   struct BatchRun {
     disk::Lba lba = 0;
     std::uint32_t ranges = 0;  // survivors materialized into this run
     std::vector<std::byte> image;
   };
-  /// A batched write-back mid-dispatch: its surviving sub-ranges and the
+  /// A write batch mid-dispatch: its surviving sub-ranges and the
   /// contiguous runs still to be written. Held in a member (not captured
   /// in a self-referencing closure) so the run chain cannot leak.
   struct BatchState {
-    std::vector<PendingIo::WbRange> survivors;
+    std::vector<PendingIo::Range> survivors;
     std::vector<BatchRun> runs;
     std::size_t next = 0;
     std::function<void(std::uint32_t, std::uint32_t)> on_dispatch;
@@ -74,17 +65,19 @@ class DeviceQueue {
 
   void pump();
   void update_depth();
-  /// Skip-filter a popped batch, assemble its runs, and start writing.
-  /// Returns false when every sub-range was skipped (nothing dispatched).
+  /// Skip-filter a popped write batch, assemble its runs, and start
+  /// writing. Returns false when every sub-range was skipped (nothing
+  /// dispatched).
   bool begin_batch(PendingIo io);
   void issue_batch_run();
+  /// Put one command on the device, timing and tracing its service.
+  void issue(bool write, disk::Lba lba, std::uint32_t count, std::span<std::byte> buf,
+             std::function<void()> done);
 
   disk::DiskDevice& device_;
-  std::unique_ptr<IoScheduler> scheduler_;
-  std::uint64_t next_seq_ = 0;
+  IoScheduler scheduler_;
   bool dispatched_ = false;  // one of ours is on the device
   std::unique_ptr<BatchState> batch_;  // non-null while a batch's runs are in flight
-  std::function<void()> on_idle_;
   obs::Obs* obs_ = nullptr;
   std::uint32_t obs_tid_ = 0;
   obs::Gauge* depth_gauge_ = nullptr;

@@ -1,19 +1,21 @@
-// Per-device I/O scheduling policies.
+// The per-device I/O scheduler: one queue, one ordering function.
 //
-// The standard-baseline driver uses C-LOOK (the Linux elevator of the
-// paper's era); Trail's write-back path keeps reads above writes ("data
-// disk reads are given higher priority than data disk writes", §4.3),
-// serves the read class in arrival order, and CSCAN-orders the write
-// class, coalescing adjacent/overlapping queued write-backs into one
-// multi-range device command (§4.2). The range cap per command is a
-// constant of the write-back policy (kMaxWritebackRanges = 32, in
-// scheduler.cpp). Priority classes are part of the scheduler interface
-// so all policies fall out of one mechanism.
+// Requests wait in priority classes; a lower class always dispatches
+// first. Class 0 carries reads (and recovery's log reads, and the
+// standard baseline's sync writes) and is served in the constructor's
+// Order: arrival order, or the C-LOOK elevator of the paper's Linux
+// baseline. Trail keeps its reads there, above all write-backs ("data
+// disk reads are given higher priority than data disk writes", §4.3).
+// Classes >= 1 carry write-backs: always CSCAN-swept by LBA, and the only
+// classes whose adjacent/overlapping queued writes coalesce into one
+// multi-range device command (§4.2), up to kMaxWritebackRanges = 32
+// ranges per command (scheduler.cpp).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <list>
+#include <map>
 #include <span>
 #include <vector>
 
@@ -21,22 +23,22 @@
 
 namespace trail::io {
 
-/// One sector-run request awaiting dispatch to a DiskDevice.
+/// In-class service order of class 0.
+enum class Order { kFifo, kClook };
+
+/// One sector-run request awaiting dispatch to a DiskDevice: a read when
+/// `ranges` is empty, else a write of the ranges' union.
 struct PendingIo {
-  bool is_write = false;
   disk::Lba lba = 0;
   std::uint32_t count = 0;
-  std::vector<std::byte> data;        // write payload (owned)
-  std::span<std::byte> out;           // read destination (caller-owned)
-  int priority = 0;                   // lower value = dispatched first
-  std::uint64_t seq = 0;              // submission order (FIFO tie-break)
-  std::function<void()> on_complete;
+  std::span<std::byte> out;  // read destination (caller-owned)
+  int priority = 0;          // lower value = dispatched first
+  std::function<void()> on_complete;  // read completion
 
-  /// One constituent dirty range of a batched write-back. Each range
-  /// keeps its own lifecycle closures so a merged device command still
-  /// settles every record exactly once and releases exactly the pins its
-  /// enqueue took.
-  struct WbRange {
+  /// One constituent range of a write. Each range keeps its own
+  /// lifecycle closures so a merged device command still settles every
+  /// record exactly once and releases exactly the pins its enqueue took.
+  struct Range {
     disk::Lba lba = 0;
     std::uint32_t count = 0;
     /// Pure predicate, checked at dispatch: the range's content is already
@@ -47,62 +49,52 @@ struct PendingIo {
     /// absorbed by overlapping survivors of the same batch): release the
     /// enqueue's pins and count the skip.
     std::function<void()> skipped;
-    /// Snapshot the *latest* buffered content of the range into `out` at
-    /// dispatch time, which is how superseded queued write-backs collapse
-    /// into one physical write (§4.2).
+    /// Snapshot the *latest* content of the range into `out` at dispatch
+    /// time, which is how superseded queued write-backs collapse into one
+    /// physical write (§4.2).
     std::function<void(std::span<std::byte> out)> fill;
-    /// The platter write covering the range completed: mark durable,
-    /// release pins, count the dispatch.
+    /// The platter write covering the range completed.
     std::function<void()> done;
   };
 
-  /// Non-empty marks this request as a batched write-back. `lba`/`count`
-  /// then describe the *envelope* of the batch; the union of the ranges is
-  /// contiguous and equals the envelope (merging only ever joins
-  /// adjacent/overlapping envelopes). `data`/`out`/`on_complete` are
-  /// unused on this path — DeviceQueue dispatches via the per-range
-  /// closures instead.
-  std::vector<WbRange> ranges;
+  /// Non-empty marks a write. `lba`/`count` then describe the envelope of
+  /// the batch; the union of the ranges is contiguous and equals it
+  /// (merging only ever joins adjacent/overlapping envelopes).
+  std::vector<Range> ranges;
   /// Called once per physical device command issued for this batch, with
   /// the number of constituent ranges it carries and its sector count.
   std::function<void(std::uint32_t ranges, std::uint32_t sectors)> on_dispatch;
+
+  /// A single-range write of `bytes` (whole sectors, copied now) at `lba`;
+  /// `done` fires once they are on the platter. Throws
+  /// std::invalid_argument unless `bytes` is a non-zero number of sectors.
+  static PendingIo write(disk::Lba lba, std::span<const std::byte> bytes,
+                         std::function<void()> done, int priority);
 };
 
 class IoScheduler {
  public:
-  virtual ~IoScheduler() = default;
+  explicit IoScheduler(Order order) : order_(order) {}
 
-  virtual void push(PendingIo io) = 0;
-  [[nodiscard]] virtual bool empty() const = 0;
-  [[nodiscard]] virtual std::size_t size() const = 0;
+  /// Queue `io`. A write at class >= 1 first tries to fold into a queued
+  /// batch of its class whose envelope it touches or overlaps, within the
+  /// range cap, cascading while the grown envelope bridges to further
+  /// batches.
+  void push(PendingIo io);
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   /// Remove and return the next request to dispatch, given the head's
   /// current position. Must only be called when !empty().
-  virtual PendingIo pop_next(disk::Lba head_position) = 0;
+  PendingIo pop_next(disk::Lba head_position);
 
-  /// Try to fold `io` (a batched write-back) into a queued batch of the
-  /// same priority class whose envelope is adjacent or overlapping,
-  /// within the policy's range cap; cascades if the grown envelope now
-  /// touches further queued batches. Returns true when `io` was
-  /// consumed. The default implementation never merges.
-  virtual bool try_merge(PendingIo& io) {
-    (void)io;
-    return false;
-  }
+ private:
+  using Bucket = std::list<PendingIo>;
+  bool try_merge(PendingIo& io, Bucket& bucket);
+
+  Order order_;
+  std::map<int, Bucket> classes_;
+  std::size_t size_ = 0;
 };
-
-/// Strict arrival order within each priority class.
-std::unique_ptr<IoScheduler> make_fifo_scheduler();
-
-/// C-LOOK elevator within each priority class: service ascending LBAs from
-/// the head position, wrapping to the lowest pending LBA.
-std::unique_ptr<IoScheduler> make_clook_scheduler();
-
-/// Trail's data-disk policy (§4.2–§4.3): priority class 0 (reads, and
-/// recovery writes) in strict arrival order above all write-back classes;
-/// classes >= 1 CSCAN-ordered by envelope LBA, with adjacent/overlapping
-/// batched write-backs coalesced in-queue (try_merge) up to the fixed
-/// per-command range cap.
-std::unique_ptr<IoScheduler> make_writeback_scheduler();
 
 }  // namespace trail::io

@@ -7,67 +7,56 @@ constexpr std::uint8_t kDataDiskMajor = 3;
 }
 
 DeviceId StandardDriver::add_device(disk::DiskDevice& device) {
-  auto scheduler = scheduling_ == Scheduling::kClook ? make_clook_scheduler()
-                                                     : make_fifo_scheduler();
-  queues_.push_back(std::make_unique<DeviceQueue>(device, std::move(scheduler)));
+  queues_.push_back(std::make_unique<DeviceQueue>(device, order_));
   return DeviceId{kDataDiskMajor, static_cast<std::uint8_t>(queues_.size() - 1)};
 }
 
-std::size_t StandardDriver::index_of(DeviceId id) const {
+DeviceQueue& StandardDriver::queue_of(DeviceId id) {
   if (id.major() != kDataDiskMajor || id.minor() >= queues_.size())
     throw std::out_of_range("StandardDriver: unknown device");
-  return id.minor();
+  return *queues_[id.minor()];
+}
+
+BlockDriver::Completion StandardDriver::track(Completion cb) {
+  ++outstanding_;
+  return [this, cb = std::move(cb)] {
+    if (cb) cb();
+    if (--outstanding_ != 0) return;
+    const auto waiters = std::move(drain_waiters_);
+    drain_waiters_.clear();
+    for (const auto& w : waiters)
+      if (w) w();
+  };
 }
 
 void StandardDriver::submit_write(BlockAddr addr, std::uint32_t count,
                                   std::span<const std::byte> data, Completion cb) {
-  PendingIo io;
-  io.is_write = true;
-  io.lba = addr.lba;
-  io.count = count;
-  io.data.assign(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(count) * disk::kSectorSize);
-  io.on_complete = std::move(cb);
-  queues_.at(index_of(addr.device))->submit(std::move(io));
+  DeviceQueue& queue = queue_of(addr.device);
+  PendingIo io = PendingIo::write(addr.lba, data.first(std::size_t{count} * disk::kSectorSize),
+                                  std::move(cb), /*priority=*/0);
+  io.ranges.front().done = track(std::move(io.ranges.front().done));
+  queue.submit(std::move(io));
 }
 
 void StandardDriver::submit_read(BlockAddr addr, std::uint32_t count, std::span<std::byte> out,
                                  Completion cb) {
+  DeviceQueue& queue = queue_of(addr.device);
   PendingIo io;
-  io.is_write = false;
   io.lba = addr.lba;
   io.count = count;
   io.out = out;
-  io.on_complete = std::move(cb);
-  queues_.at(index_of(addr.device))->submit(std::move(io));
+  io.on_complete = track(std::move(cb));
+  queue.submit(std::move(io));
 }
 
 void StandardDriver::drain(Completion cb) {
-  // All writes are synchronous; once every queue is idle we are drained.
-  auto all_idle = [this] {
-    for (const auto& q : queues_)
-      if (!q->idle()) return false;
-    return true;
-  };
-  if (all_idle()) {
+  // All writes are synchronous: once every accepted request has completed
+  // we are drained.
+  if (outstanding_ == 0) {
     if (cb) cb();
     return;
   }
-  // Share the callback across queues; first idle notification that finds
-  // everything idle fires it (then disarms).
-  auto fired = std::make_shared<bool>(false);
-  auto cb_shared = std::make_shared<Completion>(std::move(cb));
-  for (auto& q : queues_) {
-    q->set_idle_callback([this, all_idle, fired, cb_shared] {
-      if (*fired || !all_idle()) return;
-      *fired = true;
-      // Keep the completion alive on the stack: disarming the queues
-      // below destroys this very lambda (we are one of the idle
-      // callbacks), so captures must not be touched afterwards.
-      const auto cb_local = cb_shared;
-      for (auto& qq : queues_) qq->set_idle_callback({});
-      if (*cb_local) (*cb_local)();
-    });
-  }
+  drain_waiters_.push_back(std::move(cb));
 }
 
 }  // namespace trail::io

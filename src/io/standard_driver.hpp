@@ -17,10 +17,7 @@ namespace trail::io {
 
 class StandardDriver final : public BlockDriver {
  public:
-  enum class Scheduling { kFifo, kClook };
-
-  explicit StandardDriver(Scheduling scheduling = Scheduling::kClook)
-      : scheduling_(scheduling) {}
+  explicit StandardDriver(Order order = Order::kClook) : order_(order) {}
 
   /// Register a data disk; returns its DeviceId (major 3 — "IDE disk" — and
   /// minors assigned in order, echoing the paper's prototype).
@@ -32,14 +29,16 @@ class StandardDriver final : public BlockDriver {
                    Completion cb) override;
   void drain(Completion cb) override;
 
-  [[nodiscard]] std::size_t device_count() const { return queues_.size(); }
-  [[nodiscard]] DeviceQueue& queue(DeviceId id) { return *queues_.at(index_of(id)); }
-
  private:
-  [[nodiscard]] std::size_t index_of(DeviceId id) const;
+  [[nodiscard]] DeviceQueue& queue_of(DeviceId id);
+  /// Count `cb`'s request as outstanding until it has completed (and run
+  /// `cb`, which may submit more); the last completion releases drains.
+  [[nodiscard]] Completion track(Completion cb);
 
-  Scheduling scheduling_;
+  Order order_;
   std::vector<std::unique_ptr<DeviceQueue>> queues_;
+  std::size_t outstanding_ = 0;  // accepted requests not yet completed
+  std::vector<Completion> drain_waiters_;
 };
 
 }  // namespace trail::io

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 
 #include "disk/disk_device.hpp"
 #include "disk/profile.hpp"
@@ -15,59 +16,50 @@
 namespace trail::io {
 namespace {
 
+const std::vector<std::byte> kSector(disk::kSectorSize, std::byte{0x5A});
+
 PendingIo make_write(disk::Lba lba, std::function<void()> cb = {}, int priority = 0) {
-  PendingIo io;
-  io.is_write = true;
-  io.lba = lba;
-  io.count = 1;
-  io.data.assign(disk::kSectorSize, std::byte{0x5A});
-  io.priority = priority;
-  io.on_complete = std::move(cb);
-  return io;
+  return PendingIo::write(lba, kSector, std::move(cb), priority);
+}
+
+TEST(PendingIoWrite, RejectsPartialOrEmptySectors) {
+  const std::span<const std::byte> sector(kSector);
+  EXPECT_THROW((void)PendingIo::write(0, sector.first(100), {}, 0), std::invalid_argument);
+  EXPECT_THROW((void)PendingIo::write(0, sector.first(0), {}, 0), std::invalid_argument);
+  EXPECT_EQ(PendingIo::write(7, sector, {}, 0).count, 1u);
 }
 
 TEST(FifoScheduler, PopsInSubmissionOrder) {
-  auto sched = make_fifo_scheduler();
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    PendingIo io = make_write(100 - i);
-    io.seq = i;
-    sched->push(std::move(io));
-  }
-  EXPECT_EQ(sched->size(), 5u);
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    const PendingIo io = sched->pop_next(/*head=*/0);
-    EXPECT_EQ(io.seq, i);
-  }
-  EXPECT_TRUE(sched->empty());
+  IoScheduler sched(Order::kFifo);
+  for (disk::Lba i = 0; i < 5; ++i) sched.push(make_write(100 - i));
+  EXPECT_EQ(sched.size(), 5u);
+  for (disk::Lba i = 0; i < 5; ++i) EXPECT_EQ(sched.pop_next(/*head=*/0).lba, 100 - i);
+  EXPECT_TRUE(sched.empty());
 }
 
 TEST(FifoScheduler, PriorityClassesDrainInOrder) {
-  auto sched = make_fifo_scheduler();
-  PendingIo low = make_write(1, {}, /*priority=*/1);
-  low.seq = 0;
-  sched->push(std::move(low));
-  PendingIo high = make_write(2, {}, /*priority=*/0);
-  high.seq = 1;
-  sched->push(std::move(high));
-  EXPECT_EQ(sched->pop_next(0).priority, 0) << "reads (class 0) before writes (class 1)";
-  EXPECT_EQ(sched->pop_next(0).priority, 1);
+  IoScheduler sched(Order::kFifo);
+  sched.push(make_write(1, {}, /*priority=*/1));
+  sched.push(make_write(2, {}, /*priority=*/0));
+  EXPECT_EQ(sched.pop_next(0).priority, 0) << "reads (class 0) before writes (class 1)";
+  EXPECT_EQ(sched.pop_next(0).priority, 1);
 }
 
 TEST(ClookScheduler, ServesAscendingFromHeadThenWraps) {
-  auto sched = make_clook_scheduler();
-  for (const disk::Lba lba : {50u, 10u, 70u, 30u, 90u}) sched->push(make_write(lba));
+  IoScheduler sched(Order::kClook);
+  for (const disk::Lba lba : {50u, 10u, 70u, 30u, 90u}) sched.push(make_write(lba));
   // Head at 40: expect 50, 70, 90, then wrap to 10, 30.
   std::vector<disk::Lba> order;
-  while (!sched->empty()) order.push_back(sched->pop_next(40).lba);
+  while (!sched.empty()) order.push_back(sched.pop_next(40).lba);
   EXPECT_EQ(order, (std::vector<disk::Lba>{50, 70, 90, 10, 30}));
 }
 
 TEST(ClookScheduler, ExactHeadPositionIncluded) {
-  auto sched = make_clook_scheduler();
-  sched->push(make_write(40));
-  sched->push(make_write(39));
-  EXPECT_EQ(sched->pop_next(40).lba, 40u);
-  EXPECT_EQ(sched->pop_next(40).lba, 39u);
+  IoScheduler sched(Order::kClook);
+  sched.push(make_write(40));
+  sched.push(make_write(39));
+  EXPECT_EQ(sched.pop_next(40).lba, 40u);
+  EXPECT_EQ(sched.pop_next(40).lba, 39u);
 }
 
 class DeviceQueueTest : public ::testing::Test {
@@ -77,7 +69,7 @@ class DeviceQueueTest : public ::testing::Test {
 };
 
 TEST_F(DeviceQueueTest, DispatchesOneAtATime) {
-  DeviceQueue queue(dev, make_fifo_scheduler());
+  DeviceQueue queue(dev, Order::kFifo);
   int done = 0;
   for (int i = 0; i < 4; ++i) queue.submit(make_write(static_cast<disk::Lba>(i * 10),
                                                       [&done] { ++done; }));
@@ -89,16 +81,15 @@ TEST_F(DeviceQueueTest, DispatchesOneAtATime) {
 
 TEST_F(DeviceQueueTest, SettledRangeSkippedAtDispatch) {
   obs::Obs obs(sim);
-  DeviceQueue queue(dev, make_fifo_scheduler());
+  DeviceQueue queue(dev, Order::kFifo);
   queue.attach_obs(&obs, 0, "io.queue_depth");
   bool blocker_done = false, skipped = false, done = false;
   queue.submit(make_write(0, [&] { blocker_done = true; }));
   PendingIo io;
-  io.is_write = true;
   io.lba = 50;
   io.count = 1;
   io.priority = 1;
-  PendingIo::WbRange range;
+  PendingIo::Range range;
   range.lba = 50;
   range.count = 1;
   range.settled = [] { return true; };
@@ -118,14 +109,29 @@ TEST_F(DeviceQueueTest, SettledRangeSkippedAtDispatch) {
   EXPECT_TRUE(queue.idle());
 }
 
-TEST_F(DeviceQueueTest, IdleCallbackFires) {
-  DeviceQueue queue(dev, make_fifo_scheduler());
-  int idle_calls = 0;
-  queue.set_idle_callback([&] { ++idle_calls; });
-  queue.submit(make_write(0));
-  queue.submit(make_write(10));
-  sim.run();
-  EXPECT_EQ(idle_calls, 1);
+TEST_F(DeviceQueueTest, OnlyWritebackClassesCoalesce) {
+  // Four adjacent one-sector writes queue up behind a read. At class 0
+  // each stays its own device command; at class 1 they fold into one.
+  DeviceQueue queue(dev, Order::kFifo);
+  std::vector<std::byte> out(disk::kSectorSize);
+  int done = 0;
+  auto burst = [&](disk::Lba base, int priority) {
+    PendingIo blocker;
+    blocker.lba = 1000;
+    blocker.count = 1;
+    blocker.out = out;
+    queue.submit(std::move(blocker));
+    for (disk::Lba lba = base; lba < base + 4; ++lba)
+      queue.submit(make_write(lba, [&done] { ++done; }, priority));
+    EXPECT_EQ(queue.queued(), priority == 0 ? 4u : 1u);
+    sim.run();
+    return dev.stats().writes;
+  };
+  const std::uint64_t class0_commands = burst(10, /*priority=*/0);
+  EXPECT_EQ(class0_commands, 4u);
+  EXPECT_EQ(burst(20, /*priority=*/1) - class0_commands, 1u);
+  EXPECT_EQ(done, 8) << "every coalesced range still completes";
+  EXPECT_TRUE(queue.idle());
 }
 
 class StandardDriverTest : public ::testing::Test {
@@ -180,13 +186,45 @@ TEST_F(StandardDriverTest, DrainWaitsForAllQueues) {
   EXPECT_TRUE(again);
 }
 
+TEST_F(StandardDriverTest, DrainWaitsForWriteSubmittedFromCompletion) {
+  const DeviceId id = driver.add_device(d0);
+  std::vector<std::byte> data(disk::kSectorSize, std::byte{4});
+  bool second_done = false, drained = false, drained_after_second = false;
+  driver.submit_write({id, 0}, 1, data, [&] {
+    driver.submit_write({id, 100}, 1, data, [&] { second_done = true; });
+  });
+  driver.drain([&] {
+    drained = true;
+    drained_after_second = second_done;
+  });
+  sim.run();
+  EXPECT_TRUE(drained);
+  EXPECT_TRUE(drained_after_second)
+      << "a write submitted from a completion is accepted before the drain may fire";
+}
+
+TEST_F(StandardDriverTest, DrainWaitsForInFlightReads) {
+  const DeviceId id = driver.add_device(d0);
+  std::vector<std::byte> out(disk::kSectorSize);
+  bool read_done = false, drained = false, drained_after_read = false;
+  driver.submit_read({id, 40}, 1, out, [&] { read_done = true; });
+  driver.drain([&] {
+    drained = true;
+    drained_after_read = read_done;
+  });
+  EXPECT_FALSE(drained);
+  sim.run();
+  EXPECT_TRUE(drained);
+  EXPECT_TRUE(drained_after_read);
+}
+
 TEST_F(StandardDriverTest, ElevatorReducesSeekVersusFifo) {
   // Property: with a backlog of random writes, C-LOOK's total service time
   // is below FIFO's on the same workload.
-  auto run_with = [](StandardDriver::Scheduling sched) {
+  auto run_with = [](Order order) {
     sim::Simulator sim;
     disk::DiskDevice dev(sim, disk::wd_caviar_10g());
-    StandardDriver driver(sched);
+    StandardDriver driver(order);
     const DeviceId id = driver.add_device(dev);
     sim::Rng rng(77);
     std::vector<std::byte> data(disk::kSectorSize, std::byte{9});
@@ -202,8 +240,8 @@ TEST_F(StandardDriverTest, ElevatorReducesSeekVersusFifo) {
     EXPECT_EQ(done, n);
     return dev.stats().seek;
   };
-  const auto fifo_seek = run_with(StandardDriver::Scheduling::kFifo);
-  const auto clook_seek = run_with(StandardDriver::Scheduling::kClook);
+  const auto fifo_seek = run_with(Order::kFifo);
+  const auto clook_seek = run_with(Order::kClook);
   EXPECT_LT(clook_seek.ns(), fifo_seek.ns() / 2)
       << "elevator should at least halve total seek time on a 60-deep backlog";
 }

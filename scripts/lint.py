@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific lint wall (DESIGN.md §9) — run from anywhere, no deps.
 
-Five checks, each encoding a convention the compiler cannot see:
+Six checks, each encoding a convention the compiler cannot see:
 
 1. obs lane ranges: every fixed trace lane constant in src/obs/obs.hpp
    (kDriverTid, kRecoveryTid, ...) must sit at or above
@@ -32,6 +32,12 @@ Five checks, each encoding a convention the compiler cannot see:
    members annotated with an `// unguarded: <reason>` comment (the
    reviewed escape hatch — e.g. pointers set once in the constructor
    whose pointees are internally atomic).
+
+6. no self-owning closures under src/: `make_shared<std::function` is
+   the idiom of a callback that captures its own shared_ptr and must
+   clear itself by hand on every exit (a missed exit leaks it). Sequence
+   asynchronous steps with sim::loop_while / sim::Steps
+   (src/sim/steps.hpp), whose state lives only in pending continuations.
 
 Exit status 0 = clean, 1 = findings (printed one per line).
 """
@@ -310,12 +316,31 @@ def check_guarded_members() -> None:
                     )
 
 
+# ---------------------------------------------------------------- check 6
+
+SELF_OWNING = re.compile(r"make_shared\s*<\s*std::function\b")
+
+
+def check_self_owning_closures() -> None:
+    for path in source_files():
+        for lineno, line in enumerate(strip_block_comments(path.read_text().splitlines()), 1):
+            if SELF_OWNING.search(line):
+                fail(
+                    path,
+                    lineno,
+                    "make_shared<std::function>: self-owning closure — sequence "
+                    "asynchronous steps with sim::loop_while / sim::Steps "
+                    "(sim/steps.hpp)",
+                )
+
+
 def main() -> int:
     check_obs_lanes()
     check_metric_registry()
     check_naked_new_delete()
     check_raw_sync_primitives()
     check_guarded_members()
+    check_self_owning_closures()
     if findings:
         print(f"lint.py: {len(findings)} finding(s)")
         for f in findings:

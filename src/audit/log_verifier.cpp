@@ -108,7 +108,9 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
       ParsedRecord rec;
       rec.header_lba = lba;
       rec.header = std::move(*hdr);
-      if (lba + 1 + rec.header.batch_size <= geometry.total_sectors()) {
+      const disk::Lba track_end =
+          geometry.first_lba_of_track(track) + geometry.spt_of_track(track);
+      if (lba + 1 + rec.header.batch_size <= track_end) {
         // Stream the payload one sector at a time through the incremental
         // CRC instead of staging the whole image in a temporary vector.
         core::Crc32 crc;
@@ -119,7 +121,7 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
         }
         rec.payload_intact = crc.value() == rec.header.payload_crc;
       } else {
-        c_entries.fail("record payload extends past the end of the disk", lba);
+        c_entries.fail("record payload crosses its track", lba);
       }
       records.push_back(std::move(rec));
     } else if (sector[0] == core::kDataFirstByte) {

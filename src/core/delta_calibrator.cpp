@@ -28,9 +28,7 @@ DeltaCalibrator::Result DeltaCalibrator::run(sim::Simulator& sim, disk::DiskDevi
     // Phase 1: position the head by reading sector 0 of the probe track.
     bool positioned = false;
     device.read(track_base, 1, scratch, [&] { positioned = true; });
-    while (!positioned) {
-      if (!sim.step()) throw std::runtime_error("DeltaCalibrator: simulation stalled");
-    }
+    sim.step_until([&] { return positioned; }, "DeltaCalibrator position");
 
     // Phase 2: the head just passed sector 0; write at sector 1 + δ.
     const std::uint32_t target = (1 + delta) % spt;
@@ -41,9 +39,7 @@ DeltaCalibrator::Result DeltaCalibrator::run(sim::Simulator& sim, disk::DiskDevi
       written = true;
       completed = sim.now();
     });
-    while (!written) {
-      if (!sim.step()) throw std::runtime_error("DeltaCalibrator: simulation stalled");
-    }
+    sim.step_until([&] { return written; }, "DeltaCalibrator probe write");
 
     const sim::Duration latency = completed - issued;
     result.probe_latency.push_back(latency);

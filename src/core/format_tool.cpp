@@ -3,6 +3,8 @@
 #include <memory>
 #include <stdexcept>
 
+#include "sim/steps.hpp"
+
 namespace trail::core {
 
 LogDiskLayout::LogDiskLayout(const disk::Geometry& geometry) : geometry_(geometry) {
@@ -44,75 +46,46 @@ bool is_trail_log_disk(const disk::DiskDevice& device) {
   return false;
 }
 
-namespace {
-
-/// Async chain writing the header sector to every replica in sequence.
-struct HeaderWriter {
-  disk::DiskDevice& device;
-  LogDiskLayout layout;
-  disk::SectorBuf sector{};
-  std::function<void()> done;
-  int replica = 0;
-
-  static void start(disk::DiskDevice& device, const LogDiskHeader& header,
-                    std::function<void()> done) {
-    auto self = std::make_shared<HeaderWriter>(
-        HeaderWriter{device, LogDiskLayout(device.geometry()), {}, std::move(done)});
-    serialize_disk_header(header, self->sector);
-    step(self);
-  }
-
-  static void step(const std::shared_ptr<HeaderWriter>& self) {
-    if (self->replica >= self->layout.replica_count()) {
-      if (self->done) self->done();
-      return;
-    }
-    const int r = self->replica++;
-    self->device.write(self->layout.header_lba(r), 1, self->sector, [self] { step(self); });
-  }
-};
-
-/// Async chain reading replicas until one parses.
-struct HeaderReader {
-  disk::DiskDevice& device;
-  LogDiskLayout layout;
-  disk::SectorBuf sector{};
-  std::function<void(std::optional<LogDiskHeader>)> done;
-  int replica = 0;
-
-  static void start(disk::DiskDevice& device,
-                    std::function<void(std::optional<LogDiskHeader>)> done) {
-    auto self = std::make_shared<HeaderReader>(
-        HeaderReader{device, LogDiskLayout(device.geometry()), {}, std::move(done)});
-    step(self);
-  }
-
-  static void step(const std::shared_ptr<HeaderReader>& self) {
-    if (self->replica >= self->layout.replica_count()) {
-      if (self->done) self->done(std::nullopt);
-      return;
-    }
-    const int r = self->replica++;
-    self->device.read(self->layout.header_lba(r), 1, self->sector, [self] {
-      if (auto hdr = parse_disk_header(self->sector)) {
-        if (self->done) self->done(hdr);
-        return;
-      }
-      step(self);
-    });
-  }
-};
-
-}  // namespace
-
 void write_disk_headers(disk::DiskDevice& device, const LogDiskHeader& header,
                         std::function<void()> done) {
-  HeaderWriter::start(device, header, std::move(done));
+  struct State {
+    LogDiskLayout layout;
+    disk::SectorBuf sector{};
+    int replica = 0;
+  };
+  auto st = std::make_shared<State>(State{LogDiskLayout(device.geometry())});
+  serialize_disk_header(header, st->sector);
+  sim::loop_while([st] { return st->replica < st->layout.replica_count(); },
+                  [&device, st](sim::Next next) {
+                    device.write(st->layout.header_lba(st->replica++), 1, st->sector,
+                                 std::move(next));
+                  },
+                  [done = std::move(done)](bool) {
+                    if (done) done();
+                  });
 }
 
 void read_disk_header(disk::DiskDevice& device,
                       std::function<void(std::optional<LogDiskHeader>)> done) {
-  HeaderReader::start(device, std::move(done));
+  // Read replicas in order until one parses.
+  struct State {
+    LogDiskLayout layout;
+    disk::SectorBuf sector{};
+    int replica = 0;
+    std::optional<LogDiskHeader> header{};
+  };
+  auto st = std::make_shared<State>(State{LogDiskLayout(device.geometry())});
+  sim::loop_while([st] { return !st->header && st->replica < st->layout.replica_count(); },
+                  [&device, st](sim::Next next) {
+                    device.read(st->layout.header_lba(st->replica++), 1, st->sector,
+                                [st, next = std::move(next)] {
+                                  st->header = parse_disk_header(st->sector);
+                                  next();
+                                });
+                  },
+                  [st, done = std::move(done)](bool) {
+                    if (done) done(st->header);
+                  });
 }
 
 }  // namespace trail::core

@@ -483,6 +483,9 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
       const std::size_t off = static_cast<std::size_t>(lba - tb.base) * disk::kSectorSize;
       const RecordHeader hdr =
           parse_chain_header(std::span<const std::byte>(tb.data->data() + off, disk::kSectorSize));
+      // The writer places every record inside one free run of one track.
+      if (lba + 1 + hdr.batch_size > geom.first_lba_of_track(track) + geom.spt_of_track(track))
+        fail("recovery: record payload crosses its track");
       std::vector<std::byte> payload(static_cast<std::size_t>(hdr.batch_size) *
                                      disk::kSectorSize);
       if (lba + 1 + hdr.batch_size <= tb.base + tb.spt) {
@@ -491,23 +494,19 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
         step_record(hdr, std::move(payload), crc);
         continue;
       }
-      // Defensive spill (the writer never splits a payload across its
-      // track): stream the in-track head, read the overflow directly.
-      const auto in_track = static_cast<std::uint32_t>(tb.base + tb.spt - lba - 1);
-      const std::size_t head_bytes = static_cast<std::size_t>(in_track) * disk::kSectorSize;
+      // The payload runs past this entry's window (anchored at a newer
+      // record earlier on the track): copy the windowed head, read the
+      // in-track rest directly.
+      const auto in_window = static_cast<std::uint32_t>(tb.base + tb.spt - lba - 1);
+      const std::size_t head_bytes = static_cast<std::size_t>(in_window) * disk::kSectorSize;
       std::memcpy(payload.data(), tb.data->data() + off + disk::kSectorSize, head_bytes);
       auto pay = std::make_shared<std::vector<std::byte>>(std::move(payload));
       const std::span<std::byte> tail = std::span<std::byte>(*pay).subspan(head_bytes);
-      issue_read(unit, tb.base + tb.spt, hdr.batch_size - in_track, tail, pay,
-                 [this, hdr, pay, head_bytes] {
-                   const std::span<std::byte> tail2 =
-                       std::span<std::byte>(*pay).subspan(head_bytes);
-                   const std::uint32_t crc = crc32_combine(
-                       crc32(std::span<const std::byte>(pay->data(), head_bytes)), crc32(tail2),
-                       tail2.size());
-                   step_record(hdr, std::move(*pay), crc);
-                   resume_streaming();
-                 });
+      issue_read(unit, tb.base + tb.spt, hdr.batch_size - in_window, tail, pay, [this, hdr, pay] {
+        const std::uint32_t crc = crc32(*pay);
+        step_record(hdr, std::move(*pay), crc);
+        resume_streaming();
+      });
       return;
     }
   }
@@ -518,8 +517,9 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
     // Trail stamps records at rotationally chosen offsets, so there is no
     // anchored range cheaper than a header-plus-payload-bound window that
     // is still guaranteed to hold the demanded record: read [record,
-    // record + payload bound), clamped to the track (a payload overflow
-    // spills).
+    // record + payload bound), clamped to the track (an older record
+    // further along the track may run past it; resume_streaming reads the
+    // rest).
     const disk::Lba tbase = geom.first_lba_of_track(track);
     const std::uint32_t tspt = geom.spt_of_track(track);
     const auto window = static_cast<std::uint32_t>(

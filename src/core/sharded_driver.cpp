@@ -90,8 +90,7 @@ void ShardedDriver::mount() {
       preps[k].emplace(std::move(prep));
       --pending;
     });
-  while (pending > 0)
-    if (!sim_.step()) throw std::runtime_error("ShardedDriver: mount begin stalled");
+  sim_.step_until([&pending] { return pending == 0; }, "ShardedDriver mount begin");
   std::uint32_t epoch_floor = 0;
   std::uint64_t cut_before = ~std::uint64_t{0};
   for (const auto& prep : preps) {
@@ -109,8 +108,7 @@ void ShardedDriver::mount() {
   for (std::size_t k = 0; k < shards_.size(); ++k)
     shards_[k]->mount_finish_async(std::move(*preps[k]), epoch_floor, cut_before,
                                    [&pending] { --pending; });
-  while (pending > 0)
-    if (!sim_.step()) throw std::runtime_error("ShardedDriver: mount finish stalled");
+  sim_.step_until([&pending] { return pending == 0; }, "ShardedDriver mount finish");
 
   last_recovery_.cut_before = cut_before;
   for (const auto& s : shards_) {

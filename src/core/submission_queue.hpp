@@ -16,11 +16,9 @@
 //     events, so virtual time stays a single-threaded total order.
 //
 // Admission control: the ring holds at most `capacity` requests. A full
-// ring either blocks the producer until the consumer drains
-// (AdmissionPolicy::kBlock — backpressure, the default) or turns the
-// request away immediately (kReject — load-shedding). Closing the queue
-// wakes every blocked producer with kClosed; requests already admitted
-// still drain.
+// ring blocks the producer until the consumer drains (backpressure).
+// Closing the queue wakes every blocked producer with kClosed; requests
+// already admitted still drain.
 //
 // Determinism note (single producer): the consumer never steps the
 // simulator while it has no outstanding writes — it parks in
@@ -31,11 +29,11 @@
 // which tests/test_mpsc.cpp asserts.
 //
 // Metrics (registered lazily iff a registry is attached; see DESIGN.md
-// metric registry): mpsc.enqueued / mpsc.rejected / mpsc.blocked
-// counters, mpsc.blocked_ns histogram (REAL steady-clock nanoseconds a
-// producer spent in backpressure — the only wall-clock metric in the
-// tree), mpsc.depth gauge (+ high watermark), mpsc.batch_requests
-// histogram (requests per consumer drain).
+// metric registry): mpsc.enqueued / mpsc.blocked counters,
+// mpsc.blocked_ns histogram (REAL steady-clock nanoseconds a producer
+// spent in backpressure — the only wall-clock metric in the tree),
+// mpsc.depth gauge (+ high watermark), mpsc.batch_requests histogram
+// (requests per consumer drain).
 #pragma once
 
 #include <cstdint>
@@ -94,15 +92,8 @@ class SyncTicket {
 
 /// What happened to a submission attempt.
 enum class Admission : std::uint8_t {
-  kOk = 0,        // admitted to the ring
-  kRejected = 1,  // ring full under AdmissionPolicy::kReject
-  kClosed = 2,    // queue closed (before or while blocked)
-};
-
-/// Full-ring behaviour for submit().
-enum class AdmissionPolicy : std::uint8_t {
-  kBlock = 0,   // backpressure: wait for the consumer to drain
-  kReject = 1,  // load-shedding: return kRejected immediately
+  kOk = 0,      // admitted to the ring
+  kClosed = 1,  // queue closed (before or while blocked)
 };
 
 /// Bounded MPSC ring of synchronous-write requests. Mutex+condvar, not
@@ -120,7 +111,6 @@ class SubmissionQueue {
 
   struct Options {
     std::size_t capacity = 64;  // max queued requests (>= 1 enforced)
-    AdmissionPolicy policy = AdmissionPolicy::kBlock;
   };
 
   /// `metrics` may be null (no mpsc.* series registered). The registry
@@ -130,13 +120,9 @@ class SubmissionQueue {
   SubmissionQueue(const SubmissionQueue&) = delete;
   SubmissionQueue& operator=(const SubmissionQueue&) = delete;
 
-  /// Producer side, policy-driven: admit, block (kBlock + full ring), or
-  /// reject (kReject + full ring). Returns kClosed once close() ran.
+  /// Producer side: admit, blocking while the ring is full. Returns
+  /// kClosed once close() ran.
   Admission submit(const Request& request) TRAIL_EXCLUDES(mu_);
-
-  /// Producer side, never blocks: a full ring rejects regardless of
-  /// policy (poll-style producers).
-  Admission try_submit(const Request& request) TRAIL_EXCLUDES(mu_);
 
   /// Consumer side: append every queued request to `out` (clearing the
   /// ring) and return how many. Never blocks.
@@ -165,17 +151,15 @@ class SubmissionQueue {
   std::size_t drain_locked(std::vector<Request>& out) TRAIL_REQUIRES(mu_);
 
   const std::size_t cap_;
-  const AdmissionPolicy policy_;
 
   mutable sync::Mutex mu_;
-  sync::CondVar not_full_;   // producers park here under kBlock
+  sync::CondVar not_full_;   // producers park here while the ring is full
   sync::CondVar not_empty_;  // the consumer parks here in drain_wait
   std::vector<Request> ring_ TRAIL_GUARDED_BY(mu_);
   bool closed_ TRAIL_GUARDED_BY(mu_) = false;
 
   // Atomic metric primitives: poked outside mu_ (recording never locks).
   obs::Counter* c_enqueued_ = nullptr;      // unguarded: set once in ctor, target is atomic
-  obs::Counter* c_rejected_ = nullptr;      // unguarded: set once in ctor, target is atomic
   obs::Counter* c_blocked_ = nullptr;       // unguarded: set once in ctor, target is atomic
   obs::Histogram* h_blocked_ns_ = nullptr;  // unguarded: set once in ctor, target is atomic
   obs::Gauge* g_depth_ = nullptr;           // unguarded: set once in ctor, target is atomic

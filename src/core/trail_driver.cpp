@@ -8,6 +8,7 @@
 
 #include "audit/check.hpp"
 #include "io/scheduler.hpp"
+#include "sim/steps.hpp"
 
 namespace trail::core {
 
@@ -126,12 +127,6 @@ io::DeviceQueue& TrailDriver::data_queue(io::DeviceId dev) {
   return *data_queues_[dev.minor()];
 }
 
-void TrailDriver::run_sim_until(const std::function<bool()>& done, const char* what) {
-  while (!done()) {
-    if (!sim_.step()) throw std::runtime_error(std::string("TrailDriver: stalled during ") + what);
-  }
-}
-
 std::uint32_t TrailDriver::oldest_live_ptr_or(std::uint32_t fallback) const {
   if (live_records_.empty()) return fallback;
   const LiveRecord& oldest = live_records_.begin()->second;
@@ -145,11 +140,11 @@ std::uint32_t TrailDriver::oldest_live_ptr_or(std::uint32_t fallback) const {
 void TrailDriver::mount() {
   std::optional<MountPrep> prep;
   mount_begin_async([&](MountPrep p) { prep.emplace(std::move(p)); });
-  run_sim_until([&] { return prep.has_value(); }, "mount begin");
+  sim_.step_until([&] { return prep.has_value(); }, "TrailDriver mount begin");
   bool done = false;
   mount_finish_async(std::move(*prep), /*epoch_floor=*/0, /*cut_before=*/~std::uint64_t{0},
                      [&] { done = true; });
-  run_sim_until([&] { return done; }, "mount finish");
+  sim_.step_until([&] { return done; }, "TrailDriver mount finish");
 }
 
 void TrailDriver::mount_begin_async(std::function<void(MountPrep)> done) {
@@ -213,31 +208,29 @@ void TrailDriver::finish_mount_begin(MountPrep prep, std::function<void(MountPre
                    });
 }
 
-struct TrailDriver::MountFinishState {
-  MountPrep prep;
-  std::uint32_t epoch_floor = 0;
-  std::uint64_t cut_before = ~std::uint64_t{0};
-  std::function<void()> done;
-  std::vector<std::optional<disk::TrackId>> resume_after;
-  std::vector<RecoveredRecord> kept;
-  std::vector<std::pair<std::uint8_t, disk::Lba>> cuts;  // headers to erase
-  std::size_t cut_idx = 0;
-  std::size_t stamp_idx = 0;
-  std::size_t pos_idx = 0;
-};
-
 void TrailDriver::mount_finish_async(MountPrep prep, std::uint32_t epoch_floor,
                                      std::uint64_t cut_before, std::function<void()> done) {
   if (mounted_) throw std::logic_error("TrailDriver: already mounted");
 
-  auto st = std::make_shared<MountFinishState>();
+  struct State {
+    MountPrep prep;
+    std::vector<std::optional<disk::TrackId>> resume_after;
+    std::vector<RecoveredRecord> kept;
+  };
+  auto st = std::make_shared<State>();
   st->prep = std::move(prep);
-  st->epoch_floor = epoch_floor;
-  st->cut_before = cut_before;
-  st->done = std::move(done);
   st->resume_after.resize(units_.size());
   last_recovery_ = st->prep.stats;
+  // A completion that lands after a crash drops `next`, and the chain with it.
+  auto resume = [alive = alive_](sim::Next next) {
+    return [alive, next = std::move(next)] {
+      if (*alive) next();
+    };
+  };
 
+  // Erase cut headers -> write back / adopt survivors -> stamp epoch
+  // headers -> position heads.
+  sim::Steps steps;
   if (!st->prep.pending.empty()) {
     // Continue each unit's ring after its own youngest record — cut
     // records included: their tracks were stamped with keys of the
@@ -253,125 +246,95 @@ void TrailDriver::mount_finish_async(MountPrep prep, std::uint32_t epoch_floor,
     for (RecoveredRecord& rec : st->prep.pending) {
       if (record_key(rec.header) >= cut_before) {
         ++last_recovery_.records_cut;
-        st->cuts.emplace_back(rec.log_unit, rec.header_lba);
+        steps.then([this, resume, u = rec.log_unit, header_lba = rec.header_lba](sim::Next next) {
+          LogUnit& unit = units_.at(u);
+          unit.scratch.fill(std::byte{0});
+          unit.device->write(header_lba, 1, unit.scratch, resume(std::move(next)));
+        });
       } else {
         st->kept.push_back(std::move(rec));
       }
     }
   }
-  mf_erase_cut(std::move(st));
-}
-
-void TrailDriver::mf_erase_cut(std::shared_ptr<MountFinishState> st) {
-  if (st->cut_idx == st->cuts.size()) {
-    mf_after_cut(std::move(st));
-    return;
-  }
-  const auto [u, header_lba] = st->cuts[st->cut_idx++];
-  LogUnit& unit = units_.at(u);
-  unit.scratch.fill(std::byte{0});
-  unit.device->write(header_lba, 1, unit.scratch,
-                     [this, st = std::move(st), alive = alive_]() mutable {
-                       if (!*alive) return;
-                       mf_erase_cut(std::move(st));
-                     });
-}
-
-void TrailDriver::mf_after_cut(std::shared_ptr<MountFinishState> st) {
-  if (st->kept.empty()) {
-    mf_adopt(std::move(st));
-    return;
-  }
-  // Chain the global prev pointer after the youngest kept record.
-  const RecoveredRecord& youngest = st->kept.back();
-  last_record_ptr_ =
-      encode_log_ptr(youngest.log_unit, static_cast<std::uint32_t>(youngest.header_lba));
-  if (config_.recovery_write_back) {
-    // Deferred recovery phase 3 for the surviving block records, on the
-    // manager mount_begin_async's locate + rebuild ran on.
-    recovery_->write_back_async(&st->kept, &last_recovery_, make_recovery_data_write(),
-                                [this, st, alive = alive_]() mutable {
-                                  if (!*alive) return;
-                                  mf_adopt(std::move(st));
-                                });
-    return;
-  }
-  mf_adopt(std::move(st));
-}
-
-void TrailDriver::mf_adopt(std::shared_ptr<MountFinishState> st) {
-  if (!st->kept.empty()) {
-    // Direct-log records are always adopted (the client replays from
-    // them and later releases); block records follow the policy.
-    std::vector<RecoveredRecord> adopt;
-    for (RecoveredRecord& rec : st->kept) {
-      const bool direct = rec.header.entries[0].data_major == kDirectLogMajor;
-      if (direct) {
-        recovered_direct_.push_back(rec);  // keep a copy for the client
-        adopt.push_back(std::move(rec));
-      } else if (!config_.recovery_write_back) {
-        adopt.push_back(std::move(rec));
+  steps.then([this, st, resume](sim::Next next) {
+    if (!st->kept.empty()) {
+      // Chain the global prev pointer after the youngest kept record.
+      const RecoveredRecord& youngest = st->kept.back();
+      last_record_ptr_ =
+          encode_log_ptr(youngest.log_unit, static_cast<std::uint32_t>(youngest.header_lba));
+      if (config_.recovery_write_back) {
+        // Deferred recovery phase 3 for the surviving block records, on
+        // the manager mount_begin_async's locate + rebuild ran on.
+        recovery_->write_back_async(&st->kept, &last_recovery_, make_recovery_data_write(),
+                                    resume(std::move(next)));
+        return;
       }
     }
-    if (!adopt.empty()) adopt_recovered(std::move(adopt));
-  }
-
-  epoch_ = std::max(st->prep.max_epoch, st->epoch_floor) + 1;
-  next_seq_ = 1;
-
-  // Position each unit's allocator tail so stamping continues around its
-  // ring. A mount that recovered pending records skips past the youngest
-  // record's track (which may carry adopted live records); every other
-  // mount resumes exactly ON the stored track — skipping ahead would
-  // leave a stale-keyed track between epochs and break the circular key
-  // monotonicity the recovery binary search relies on.
-  for (std::size_t u = 0; u < units_.size(); ++u) {
-    LogUnit& unit = units_[u];
-    if (st->resume_after[u]) {
-      unit.allocator->set_tail_after(*st->resume_after[u]);
-    } else if (!unit.allocator->is_reserved(st->prep.headers[u].resume_track) &&
-               st->prep.headers[u].resume_track < unit.device->geometry().track_count()) {
-      unit.allocator->set_tail(st->prep.headers[u].resume_track);
+    next();
+  });
+  steps.then([this, st, epoch_floor](sim::Next next) {
+    if (!st->kept.empty()) {
+      // Direct-log records are always adopted (the client replays from
+      // them and later releases); block records follow the policy.
+      std::vector<RecoveredRecord> adopt;
+      for (RecoveredRecord& rec : st->kept) {
+        const bool direct = rec.header.entries[0].data_major == kDirectLogMajor;
+        if (direct) {
+          recovered_direct_.push_back(rec);  // keep a copy for the client
+          adopt.push_back(std::move(rec));
+        } else if (!config_.recovery_write_back) {
+          adopt.push_back(std::move(rec));
+        }
+      }
+      if (!adopt.empty()) adopt_recovered(std::move(adopt));
     }
-  }
-  mf_stamp(std::move(st));
-}
 
-// Stamp the new epoch as mounted (crash_var = 0) on every unit.
-void TrailDriver::mf_stamp(std::shared_ptr<MountFinishState> st) {
-  if (st->stamp_idx == units_.size()) {
-    mf_position(std::move(st));
-    return;
-  }
-  LogUnit& unit = units_[st->stamp_idx++];
-  write_disk_headers(*unit.device, LogDiskHeader{epoch_, 0, unit.allocator->current()},
-                     [this, st = std::move(st), alive = alive_]() mutable {
-                       if (!*alive) return;
-                       mf_stamp(std::move(st));
-                     });
-}
+    epoch_ = std::max(st->prep.max_epoch, epoch_floor) + 1;
+    next_seq_ = 1;
 
-void TrailDriver::mf_position(std::shared_ptr<MountFinishState> st) {
-  if (st->pos_idx == units_.size()) {
+    // Position each unit's allocator tail so stamping continues around its
+    // ring. A mount that recovered pending records skips past the youngest
+    // record's track (which may carry adopted live records); every other
+    // mount resumes exactly ON the stored track — skipping ahead would
+    // leave a stale-keyed track between epochs and break the circular key
+    // monotonicity the recovery binary search relies on.
+    for (std::size_t u = 0; u < units_.size(); ++u) {
+      LogUnit& unit = units_[u];
+      if (st->resume_after[u]) {
+        unit.allocator->set_tail_after(*st->resume_after[u]);
+      } else if (!unit.allocator->is_reserved(st->prep.headers[u].resume_track) &&
+                 st->prep.headers[u].resume_track < unit.device->geometry().track_count()) {
+        unit.allocator->set_tail(st->prep.headers[u].resume_track);
+      }
+    }
+    next();
+  });
+  // Stamp the new epoch as mounted (crash_var = 0) on every unit.
+  for (std::size_t u = 0; u < units_.size(); ++u)
+    steps.then([this, resume, u](sim::Next next) {
+      LogUnit& unit = units_[u];
+      write_disk_headers(*unit.device, LogDiskHeader{epoch_, 0, unit.allocator->current()},
+                         resume(std::move(next)));
+    });
+  for (std::size_t u = 0; u < units_.size(); ++u)
+    steps.then([this, u, alive = alive_](sim::Next next) {
+      LogUnit& unit = units_[u];
+      const disk::TrackId track = unit.allocator->current();
+      const disk::Lba lba = unit.device->geometry().first_lba_of_track(track);
+      unit.device->read(lba, 1, unit.scratch, [this, u, track, alive, next = std::move(next)] {
+        if (!*alive) return;
+        units_[u].predictor->set_reference(sim_.now(), track, 0);
+        next();
+      });
+    });
+  std::move(steps).run([this, done = std::move(done)](bool) {
     mounted_ = true;
     arm_idle_timer();
 #if defined(TRAIL_AUDIT)
     quiesce_audit("mount");
 #endif
-    auto done = std::move(st->done);
     done();
-    return;
-  }
-  const std::size_t u = st->pos_idx++;
-  LogUnit& unit = units_[u];
-  const disk::TrackId track = unit.allocator->current();
-  const disk::Lba lba = unit.device->geometry().first_lba_of_track(track);
-  unit.device->read(lba, 1, unit.scratch,
-                    [this, st = std::move(st), u, track, alive = alive_]() mutable {
-                      if (!*alive) return;
-                      units_[u].predictor->set_reference(sim_.now(), track, 0);
-                      mf_position(std::move(st));
-                    });
+  });
 }
 
 RecoveryManager::DataWriteFn TrailDriver::make_recovery_data_write() {
@@ -535,7 +498,7 @@ void TrailDriver::quiesce_audit(const char* where) const {
 
 void TrailDriver::unmount() {
   if (!mounted_) throw std::logic_error("TrailDriver: not mounted");
-  run_sim_until([this] { return drained(); }, "unmount drain");
+  sim_.step_until([this] { return drained(); }, "TrailDriver unmount drain");
 #if defined(TRAIL_AUDIT)
   quiesce_audit("unmount");
 #endif
@@ -549,7 +512,7 @@ void TrailDriver::unmount() {
     bool stamped = false;
     write_disk_headers(*unit.device, LogDiskHeader{epoch_, 1, unit.allocator->current()},
                        [&] { stamped = true; });
-    run_sim_until([&] { return stamped; }, "unmount header write");
+    sim_.step_until([&] { return stamped; }, "TrailDriver unmount header write");
   }
 }
 
@@ -1160,23 +1123,23 @@ bool TrailDriver::drained() const {
 }
 
 void TrailDriver::drain(Completion cb) {
-  auto alive = alive_;
-  auto poll = std::make_shared<std::function<void()>>();
-  *poll = [this, alive, cb = std::move(cb), poll]() mutable {
+  // First check on a zero-delay event, then poll every 500 µs.
+  sim_.schedule(sim::Duration{0}, [this, alive = alive_, cb = std::move(cb)]() mutable {
     if (!*alive) return;
-    if (drained()) {
+    sim::loop_while(
+        [this] { return !drained(); },
+        [this, alive](sim::Next next) {
+          sim_.schedule(sim::micros(500), [alive, next = std::move(next)] {
+            if (*alive) next();
+          });
+        },
+        [this, cb = std::move(cb)](bool) {
 #if defined(TRAIL_AUDIT)
-      quiesce_audit("drain");
+          quiesce_audit("drain");
 #endif
-      if (cb) cb();
-      *poll = nullptr;  // break the self-reference cycle (we run as a copy)
-      return;
-    }
-    sim_.schedule(sim::micros(500), *poll);
-  };
-  // Always execute a copy scheduled through the simulator so the stored
-  // closure can safely null itself out on completion.
-  sim_.schedule(sim::Duration{0}, *poll);
+          if (cb) cb();
+        });
+  });
 }
 
 void TrailDriver::arm_idle_timer() {

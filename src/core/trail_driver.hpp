@@ -374,19 +374,9 @@ class TrailDriver final : public io::BlockDriver {
     for (const LogUnit& unit : units_) devices.push_back(unit.device);
     return devices;
   }
-  void run_sim_until(const std::function<bool()>& done, const char* what);
   /// mount_begin_async tail: run recovery (phases 1–2) when a crash was
   /// detected, then hand the finished prep to `done`.
   void finish_mount_begin(MountPrep prep, std::function<void(MountPrep)> done);
-  /// mount_finish_async stages, continuation-passing over one shared
-  /// state block: erase cut headers -> write back / adopt survivors ->
-  /// stamp epoch headers -> position heads -> done.
-  struct MountFinishState;
-  void mf_erase_cut(std::shared_ptr<MountFinishState> st);
-  void mf_after_cut(std::shared_ptr<MountFinishState> st);
-  void mf_adopt(std::shared_ptr<MountFinishState> st);
-  void mf_stamp(std::shared_ptr<MountFinishState> st);
-  void mf_position(std::shared_ptr<MountFinishState> st);
   /// Phase-3 sink bound to the data-disk queues: single-range priority-1
   /// batches, so the write-back scheduler coalesces adjacent runs and
   /// CSCAN-orders the sweep.

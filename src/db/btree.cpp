@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "core/crc32.hpp"
+#include "sim/steps.hpp"
 
 namespace trail::db {
 
@@ -169,34 +170,22 @@ void BTree::descend(Key key, std::function<void(std::vector<PathEntry>, PageNo)>
     std::vector<PathEntry> path;
     PageNo page;
     std::uint32_t levels_left;
-    Key key;
   };
-  auto st = std::make_shared<State>();
-  st->page = root_;
-  st->levels_left = height_ - 1;
-  st->key = key;
-
-  auto step = std::make_shared<std::function<void()>>();
-  *step = [st, step, cb = std::move(cb), this] {
-    if (st->levels_left == 0) {
-      auto fin = std::move(cb);
-      *step = nullptr;
-      fin(std::move(st->path), st->page);
-      return;
-    }
-    pool_.fetch(file_id_, st->page, [st, step](std::span<std::byte> p) {
-      if (page_kind(p) != kInternal)
-        throw std::runtime_error("BTree: structural corruption (expected internal page)");
-      const std::uint32_t child_index = descend_index(p, st->key);
-      st->path.push_back(PathEntry{st->page, child_index});
-      st->page = child_at(p, child_index);
-      --st->levels_left;
-      auto s2 = *step;
-      s2();
-    });
-  };
-  auto kick = *step;
-  kick();
+  auto st = std::make_shared<State>(State{{}, root_, height_ - 1});
+  sim::loop_while(
+      [st] { return st->levels_left > 0; },
+      [this, st, key](sim::Next next) {
+        pool_.fetch(file_id_, st->page, [st, key, next = std::move(next)](std::span<std::byte> p) {
+          if (page_kind(p) != kInternal)
+            throw std::runtime_error("BTree: structural corruption (expected internal page)");
+          const std::uint32_t child_index = descend_index(p, key);
+          st->path.push_back(PathEntry{st->page, child_index});
+          st->page = child_at(p, child_index);
+          --st->levels_left;
+          next();
+        });
+      },
+      [st, cb = std::move(cb)](bool) { cb(std::move(st->path), st->page); });
 }
 
 void BTree::find(Key key, std::function<void(bool, Value)> cb) {
@@ -385,46 +374,33 @@ void BTree::scan(Key from, Key to, std::function<bool(Key, Value)> each,
                     std::vector<PathEntry>, PageNo leaf) mutable {
     struct State {
       PageNo page;
-      bool first = true;
-      Key from;
-      Key to;
       std::function<bool(Key, Value)> each;
-      std::function<void()> done;
+      bool first = true;
       bool stopped = false;
     };
-    auto st = std::make_shared<State>();
-    st->page = leaf;
-    st->from = from;
-    st->to = to;
-    st->each = std::move(each);
-    st->done = std::move(done);
-
-    auto step = std::make_shared<std::function<void()>>();
-    *step = [this, st, step] {
-      if (st->page == kNoSibling || st->stopped) {
-        auto d = std::move(st->done);
-        *step = nullptr;
-        if (d) d();
-        return;
-      }
-      pool_.fetch(file_id_, st->page, [st, step](std::span<std::byte> p) {
-        std::size_t i = st->first ? leaf_lower_bound(p, st->from) : 0;
-        st->first = false;
-        const std::uint16_t n = page_count(p);
-        for (; i < n; ++i) {
-          const Key k = leaf_key(p, i);
-          if (k > st->to || !st->each(k, leaf_value(p, i))) {
-            st->stopped = true;
-            break;
-          }
-        }
-        if (!st->stopped) st->page = page_link(p);
-        auto s2 = *step;
-        s2();
-      });
-    };
-    auto kick = *step;
-    kick();
+    auto st = std::make_shared<State>(State{leaf, std::move(each)});
+    sim::loop_while(
+        [st] { return st->page != kNoSibling && !st->stopped; },
+        [this, st, from, to](sim::Next next) {
+          pool_.fetch(file_id_, st->page, [st, from, to, next = std::move(next)](
+                                              std::span<std::byte> p) {
+            std::size_t i = st->first ? leaf_lower_bound(p, from) : 0;
+            st->first = false;
+            const std::uint16_t n = page_count(p);
+            for (; i < n; ++i) {
+              const Key k = leaf_key(p, i);
+              if (k > to || !st->each(k, leaf_value(p, i))) {
+                st->stopped = true;
+                break;
+              }
+            }
+            if (!st->stopped) st->page = page_link(p);
+            next();
+          });
+        },
+        [done = std::move(done)](bool) {
+          if (done) done();
+        });
   });
 }
 

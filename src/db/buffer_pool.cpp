@@ -181,11 +181,14 @@ void BufferPool::maybe_evict() {
 }
 
 void BufferPool::flush_dirty(std::function<void()> done) {
-  auto pending = std::make_shared<std::size_t>(0);
-  auto done_shared = std::make_shared<std::function<void()>>(std::move(done));
+  struct Join {
+    std::size_t pending = 0;
+    std::function<void()> done;
+  };
+  auto join = std::make_shared<Join>(Join{0, std::move(done)});
   for (auto& [key, frame] : frames_) {
     if (!frame->dirty || frame->pins > 0 || frame->loading || frame->flushing) continue;
-    ++*pending;
+    ++join->pending;
     ++stats_.checkpoint_writes;
     Frame* fp = frame.get();
     fp->flushing = true;
@@ -193,13 +196,13 @@ void BufferPool::flush_dirty(std::function<void()> done) {
     const PageNo page_no = key.page;
     const std::uint64_t gen = fp->write_gen;
     auto alive = alive_;
-    auto write_page = [alive, file, page_no, fp, gen, pending, done_shared] {
+    auto write_page = [alive, file, page_no, fp, gen, join] {
       if (!*alive) return;
-      file->write_page(page_no, fp->data, [alive, fp, gen, pending, done_shared] {
+      file->write_page(page_no, fp->data, [alive, fp, gen, join] {
         if (!*alive) return;
         fp->flushing = false;
         if (fp->write_gen == gen) fp->dirty = false;
-        if (--*pending == 0 && *done_shared) (*done_shared)();
+        if (--join->pending == 0 && join->done) join->done();
       });
     };
     if (wal_ != nullptr)
@@ -207,7 +210,7 @@ void BufferPool::flush_dirty(std::function<void()> done) {
     else
       write_page();
   }
-  if (*pending == 0 && *done_shared) (*done_shared)();
+  if (join->pending == 0 && join->done) join->done();
 }
 
 void BufferPool::reset() {

@@ -6,7 +6,7 @@
 
 #include "audit/check.hpp"
 #include "core/crc32.hpp"
-#include "db/chain.hpp"
+#include "sim/steps.hpp"
 
 namespace trail::db {
 
@@ -282,19 +282,19 @@ void Database::finish_commit_at(Lsn lsn, TxnId id, std::function<void(bool)> don
 void Database::abort(Txn& txn, std::function<void()> done) {
   if (!txn.active_) throw std::logic_error("Database::abort: txn not active");
   // Restore before-images in reverse order.
-  Chain chain;
+  sim::Steps steps;
   for (auto it = txn.undo_.rbegin(); it != txn.undo_.rend(); ++it) {
     const Txn::Undo& u = *it;
-    chain.then([this, &u](Chain::Next next) {
+    steps.then([this, &u](sim::Next next) {
       Table& t = table(u.table);
       if (u.existed)
-        t.apply_image(u.key, u.before, [next] { next(); });
+        t.apply_image(u.key, u.before, std::move(next));
       else
-        t.remove(u.key, [next] { next(); });
+        t.remove(u.key, std::move(next));
     });
   }
   const TxnId id = txn.id_;
-  std::move(chain).run([this, id, done = std::move(done)] {
+  std::move(steps).run([this, id, done = std::move(done)](bool) {
     auto it = active_txns_.find(id);
     if (it != active_txns_.end()) {
       ++stats_.aborts;
@@ -317,17 +317,16 @@ void Database::checkpoint(std::function<void()> done) {
     return;
   }
   checkpoint_running_ = true;
-  auto done_shared = std::make_shared<std::function<void()>>(std::move(done));
   auto alive = alive_;
   // WAL rule first, then pages, then the checkpoint record + meta.
-  wal_->flush_all([this, alive, done_shared] {
+  wal_->flush_all([this, alive, done = std::move(done)]() mutable {
     if (!*alive) return;
-    pool_->flush_dirty([this, alive, done_shared] {
+    pool_->flush_dirty([this, alive, done = std::move(done)]() mutable {
       if (!*alive) return;
       WalRecord rec;
       rec.type = WalRecordType::kCheckpoint;
       const Lsn ckpt_lsn = wal_->append(rec);
-      wal_->flush_all([this, alive, ckpt_lsn, done_shared] {
+      wal_->flush_all([this, alive, ckpt_lsn, done = std::move(done)]() mutable {
         if (!*alive) return;
         // Replay must start early enough to cover transactions that were
         // in flight at the checkpoint (their pages were pinned, so their
@@ -335,7 +334,7 @@ void Database::checkpoint(std::function<void()> done) {
         Lsn replay_from = ckpt_lsn;
         for (const auto& [id, txn] : active_txns_)
           if (txn->first_lsn_ != kInvalidLsn) replay_from = std::min(replay_from, txn->first_lsn_);
-        write_meta(replay_from, [this, alive, replay_from, done_shared] {
+        write_meta(replay_from, [this, alive, replay_from, done = std::move(done)] {
           if (!*alive) return;
           last_checkpoint_lsn_ = replay_from;
           wal_->set_truncate_point(replay_from);
@@ -343,7 +342,7 @@ void Database::checkpoint(std::function<void()> done) {
 #if defined(TRAIL_AUDIT)
           quiesce_audit("checkpoint");
 #endif
-          if (*done_shared) (*done_shared)();
+          if (done) done();
         });
       });
     });

@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -78,6 +79,14 @@ class Simulator {
 
   /// Dispatch a single event; returns false if the queue is empty.
   bool step();
+
+  /// Dispatch events until `done()` holds. Throws std::runtime_error
+  /// naming `what` if the queue empties first.
+  template <typename Done>
+  void step_until(Done&& done, const char* what) {
+    while (!done())
+      if (!step()) throw std::runtime_error(std::string("simulation stalled during ") + what);
+  }
 
   /// Number of live pending events (cancelled ones excluded).
   [[nodiscard]] std::size_t pending_events() const { return queue_.size() - cancelled_count_; }

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "sim/steps.hpp"
+
 namespace trail::tpcc {
 
 Driver::Driver(TpccDatabase& tpcc, std::uint32_t concurrency, sim::Rng seed_rng)
@@ -26,48 +28,36 @@ BenchResult Driver::run_internal(std::uint64_t total_txns, bool record) {
 
   // Each client loops: run one mixed transaction, record, repeat. The
   // issue budget is shared so exactly total_txns complete.
-  struct Client {
-    std::function<void()> go;
-  };
-  auto clients = std::make_shared<std::vector<Client>>(concurrency_);
-
   for (std::uint32_t i = 0; i < concurrency_; ++i) {
     TxnRunner* runner = runners_[i].get();
-    (*clients)[i].go = [this, runner, &sim, &result, &completed, &issued, total_txns,
-                        record, clients, i] {
-      if (issued >= total_txns) return;
-      ++issued;
-      const sim::TimePoint t0 = sim.now();
-      runner->run_mixed([this, runner, &sim, &result, &completed, &issued, total_txns,
-                         record, clients, i, t0](TxnResult r) {
-        if (record) {
-          const sim::Duration response = sim.now() - t0;
-          result.response_ms.add(response);
-          if (r.committed) {
-            ++result.committed;
-            if (r.type == TxnType::kNewOrder) {
-              ++result.new_order_commits;
-              result.new_order_response_ms.add(response);
+    sim::loop_while(
+        [&issued, total_txns] { return issued < total_txns; },
+        [runner, &sim, &result, &completed, &issued, record](sim::Next next) {
+          ++issued;
+          const sim::TimePoint t0 = sim.now();
+          runner->run_mixed([&sim, &result, &completed, record, t0, next](TxnResult r) {
+            if (record) {
+              const sim::Duration response = sim.now() - t0;
+              result.response_ms.add(response);
+              if (r.committed) {
+                ++result.committed;
+                if (r.type == TxnType::kNewOrder) {
+                  ++result.new_order_commits;
+                  result.new_order_response_ms.add(response);
+                }
+              } else if (r.user_abort) {
+                ++result.user_aborts;
+              } else {
+                ++result.aborted;
+              }
             }
-          } else if (r.user_abort) {
-            ++result.user_aborts;
-          } else {
-            ++result.aborted;
-          }
-        }
-        ++completed;
-        (*clients)[i].go();
-      });
-    };
+            ++completed;
+            next();
+          });
+        },
+        [](bool) {});
   }
-  for (auto& c : *clients) c.go();
-
-  while (completed < total_txns) {
-    if (!sim.step()) throw std::runtime_error("TPC-C driver: simulation stalled");
-  }
-  // The go lambdas capture `clients`, so the vector would keep itself
-  // alive through the cycle; sever it now that every client is done.
-  for (auto& c : *clients) c.go = nullptr;
+  sim.step_until([&] { return completed >= total_txns; }, "TPC-C driver run");
   result.wall = sim.now() - start;
   return result;
 }

@@ -4,49 +4,9 @@
 #include <memory>
 #include <vector>
 
+#include "sim/steps.hpp"
+
 namespace trail::tpcc {
-
-namespace {
-
-/// Early-exit async sequencer: each step receives next(ok); next(false)
-/// short-circuits to the finish handler with ok=false.
-class Flow {
- public:
-  using Next = std::function<void(bool)>;
-  using Step = std::function<void(Next)>;
-
-  Flow& then(Step step) {
-    steps_.push_back(std::move(step));
-    return *this;
-  }
-
-  void run(std::function<void(bool)> finish) && {
-    struct State {
-      std::vector<Step> steps;
-      std::function<void(bool)> finish;
-      std::size_t index = 0;
-    };
-    auto st = std::make_shared<State>(State{std::move(steps_), std::move(finish), 0});
-    auto advance = std::make_shared<std::function<void(bool)>>();
-    *advance = [st, advance](bool ok) {
-      if (!ok || st->index >= st->steps.size()) {
-        auto finish = std::move(st->finish);
-        *advance = nullptr;
-        finish(ok);
-        return;
-      }
-      Step& step = st->steps[st->index++];
-      step(*advance);
-    };
-    auto kick = *advance;
-    kick(true);
-  }
-
- private:
-  std::vector<Step> steps_;
-};
-
-}  // namespace
 
 const char* txn_type_name(TxnType type) {
   switch (type) {
@@ -116,10 +76,10 @@ void TxnRunner::new_order(Done done) {
 
   db::Database& dbe = tpcc_.database();
   db::Txn& txn = dbe.begin();
-  Flow flow;
+  sim::Steps steps;
 
   // District: allocate the order id.
-  flow.then([this, &txn, ctx](Flow::Next next) {
+  steps.then([this, &txn, ctx](sim::Next next) {
     txn.get_for_update(t_district(), district_key(ctx->w, ctx->d),
                        [this, &txn, ctx, next](bool ok, bool found, db::RowBuf row) {
                          if (!ok || !found) {
@@ -130,18 +90,17 @@ void TxnRunner::new_order(Done done) {
                          ctx->o_id = dr.next_o_id;
                          ctx->d_tax = dr.tax;
                          dr.next_o_id += 1;
-                         txn.update(t_district(), district_key(ctx->w, ctx->d), to_row(dr),
-                                    [next](bool ok2) { next(ok2); });
+                         txn.update(t_district(), district_key(ctx->w, ctx->d), to_row(dr), next);
                        });
   });
   // Warehouse tax + customer discount (reads).
-  flow.then([this, &txn, ctx](Flow::Next next) {
+  steps.then([this, &txn, ctx](sim::Next next) {
     txn.get(t_warehouse(), warehouse_key(ctx->w), [ctx, next](bool found, db::RowBuf row) {
       if (found) ctx->w_tax = from_row<WarehouseRow>(row).tax;
       next(found);
     });
   });
-  flow.then([this, &txn, ctx](Flow::Next next) {
+  steps.then([this, &txn, ctx](sim::Next next) {
     txn.get(t_customer(), customer_key(ctx->w, ctx->d, ctx->c),
             [ctx, next](bool found, db::RowBuf row) {
               if (found) ctx->c_discount = from_row<CustomerRow>(row).discount;
@@ -149,7 +108,7 @@ void TxnRunner::new_order(Done done) {
             });
   });
   // ORDER + NEW-ORDER rows.
-  flow.then([this, &txn, ctx](Flow::Next next) {
+  steps.then([this, &txn, ctx](sim::Next next) {
     OrderRow orow;
     orow.w_id = ctx->w;
     orow.d_id = ctx->d;
@@ -157,18 +116,16 @@ void TxnRunner::new_order(Done done) {
     orow.c_id = ctx->c;
     orow.entry_d = tpcc_.database().simulator().now().ns();
     orow.ol_cnt = ctx->ol_cnt;
-    txn.insert(t_order(), order_key(ctx->w, ctx->d, ctx->o_id), to_row(orow),
-               [next](bool ok) { next(ok); });
+    txn.insert(t_order(), order_key(ctx->w, ctx->d, ctx->o_id), to_row(orow), next);
   });
-  flow.then([this, &txn, ctx](Flow::Next next) {
+  steps.then([this, &txn, ctx](sim::Next next) {
     NewOrderRow nr{ctx->w, ctx->d, ctx->o_id};
-    txn.insert(t_new_order(), new_order_key(ctx->w, ctx->d, ctx->o_id), to_row(nr),
-               [next](bool ok) { next(ok); });
+    txn.insert(t_new_order(), new_order_key(ctx->w, ctx->d, ctx->o_id), to_row(nr), next);
   });
   // Order lines: item read, stock update, order-line insert.
   for (std::uint32_t i = 0; i < ctx->ol_cnt; ++i) {
     const bool last = i + 1 == ctx->ol_cnt;
-    flow.then([this, &txn, ctx, i, last](Flow::Next next) {
+    steps.then([this, &txn, ctx, i, last](sim::Next next) {
       if (last && ctx->rollback) {
         // Unused item number: the transaction must roll back (and still
         // counts as "completed" per clause 2.4.1.4's intent; we report it
@@ -213,15 +170,14 @@ void TxnRunner::new_order(Done done) {
                     lr.amount = price * ctx->qty[i];
                     ctx->total += lr.amount;
                     txn.insert(t_order_line(),
-                               order_line_key(ctx->w, ctx->d, ctx->o_id, i + 1), to_row(lr),
-                               [next](bool ok3) { next(ok3); });
+                               order_line_key(ctx->w, ctx->d, ctx->o_id, i + 1), to_row(lr), next);
                   });
             });
       });
     });
   }
 
-  std::move(flow).run([this, &txn, ctx, done = std::move(done)](bool ok) mutable {
+  std::move(steps).run([this, &txn, ctx, done = std::move(done)](bool ok) mutable {
     if (!ok) {
       fail(txn, TxnType::kNewOrder, std::move(done), ctx->rollback);
       return;
@@ -258,11 +214,11 @@ void TxnRunner::payment(Done done) {
         sim::nurand(rng_, 255, 0, 999, tpcc_.nurand_c().c_last));
 
   db::Txn& txn = tpcc_.database().begin();
-  Flow flow;
+  sim::Steps steps;
   if (ctx->by_name) {
     // Resolve the customer through the by-name secondary index (real
     // index-page I/O; clause 2.5.2.2 picks the midpoint, rounded up).
-    flow.then([this, ctx](Flow::Next next) {
+    steps.then([this, ctx](sim::Next next) {
       tpcc_.lookup_by_last_name(ctx->w, ctx->d, ctx->last,
                                 [ctx, next](std::vector<std::uint32_t> ids) {
                                   if (!ids.empty()) ctx->c = ids[ids.size() / 2];
@@ -270,7 +226,7 @@ void TxnRunner::payment(Done done) {
                                 });
     });
   }
-  flow.then([this, &txn, ctx](Flow::Next next) {
+  steps.then([this, &txn, ctx](sim::Next next) {
     txn.get_for_update(t_warehouse(), warehouse_key(ctx->w),
                        [this, &txn, ctx, next](bool ok, bool found, db::RowBuf row) {
                          if (!ok || !found) {
@@ -279,11 +235,10 @@ void TxnRunner::payment(Done done) {
                          }
                          auto wr = from_row<WarehouseRow>(row);
                          wr.ytd += ctx->amount;
-                         txn.update(t_warehouse(), warehouse_key(ctx->w), to_row(wr),
-                                    [next](bool ok2) { next(ok2); });
+                         txn.update(t_warehouse(), warehouse_key(ctx->w), to_row(wr), next);
                        });
   });
-  flow.then([this, &txn, ctx](Flow::Next next) {
+  steps.then([this, &txn, ctx](sim::Next next) {
     txn.get_for_update(t_district(), district_key(ctx->w, ctx->d),
                        [this, &txn, ctx, next](bool ok, bool found, db::RowBuf row) {
                          if (!ok || !found) {
@@ -292,11 +247,10 @@ void TxnRunner::payment(Done done) {
                          }
                          auto dr = from_row<DistrictRow>(row);
                          dr.ytd += ctx->amount;
-                         txn.update(t_district(), district_key(ctx->w, ctx->d), to_row(dr),
-                                    [next](bool ok2) { next(ok2); });
+                         txn.update(t_district(), district_key(ctx->w, ctx->d), to_row(dr), next);
                        });
   });
-  flow.then([this, &txn, ctx](Flow::Next next) {
+  steps.then([this, &txn, ctx](sim::Next next) {
     txn.get_for_update(
         t_customer(), customer_key(ctx->w, ctx->d, ctx->c),
         [this, &txn, ctx, next](bool ok, bool found, db::RowBuf row) {
@@ -308,11 +262,10 @@ void TxnRunner::payment(Done done) {
           cr.balance -= ctx->amount;
           cr.ytd_payment += ctx->amount;
           cr.payment_cnt += 1;
-          txn.update(t_customer(), customer_key(ctx->w, ctx->d, ctx->c), to_row(cr),
-                     [next](bool ok2) { next(ok2); });
+          txn.update(t_customer(), customer_key(ctx->w, ctx->d, ctx->c), to_row(cr), next);
         });
   });
-  flow.then([this, &txn, ctx](Flow::Next next) {
+  steps.then([this, &txn, ctx](sim::Next next) {
     HistoryRow hr;
     hr.w_id = ctx->w;
     hr.d_id = ctx->d;
@@ -321,10 +274,10 @@ void TxnRunner::payment(Done done) {
     hr.amount = ctx->amount;
     // History has no primary key in TPC-C; synthesize a unique one.
     const db::Key hkey = (static_cast<db::Key>(txn.id()) << 16) | ctx->d;
-    txn.insert(t_history(), hkey, to_row(hr), [next](bool ok) { next(ok); });
+    txn.insert(t_history(), hkey, to_row(hr), next);
   });
 
-  std::move(flow).run([this, &txn, done = std::move(done)](bool ok) mutable {
+  std::move(steps).run([this, &txn, done = std::move(done)](bool ok) mutable {
     if (!ok) {
       fail(txn, TxnType::kPayment, std::move(done));
       return;
@@ -346,6 +299,7 @@ void TxnRunner::order_status(Done done) {
   struct Ctx {
     std::uint32_t w, d, c, o = 0;
     std::uint32_t ol_cnt = 0;
+    std::uint32_t ol = 1;  // next order line to read
   };
   auto ctx = std::make_shared<Ctx>();
   ctx->w = random_warehouse();
@@ -357,9 +311,9 @@ void TxnRunner::order_status(Done done) {
     last = TpccDatabase::last_name(sim::nurand(rng_, 255, 0, 999, tpcc_.nurand_c().c_last));
 
   db::Txn& txn = tpcc_.database().begin();
-  Flow flow;
+  sim::Steps steps;
   if (by_name) {
-    flow.then([this, ctx, last](Flow::Next next) {
+    steps.then([this, ctx, last](sim::Next next) {
       tpcc_.lookup_by_last_name(ctx->w, ctx->d, last,
                                 [ctx, next](std::vector<std::uint32_t> ids) {
                                   if (!ids.empty()) ctx->c = ids[ids.size() / 2];
@@ -367,15 +321,15 @@ void TxnRunner::order_status(Done done) {
                                 });
     });
   }
-  flow.then([this, ctx](Flow::Next next) {
+  steps.then([this, ctx](sim::Next next) {
     ctx->o = tpcc_.last_order_of(ctx->w, ctx->d, ctx->c);
     next(true);
   });
-  flow.then([this, &txn, ctx](Flow::Next next) {
+  steps.then([this, &txn, ctx](sim::Next next) {
     txn.get(t_customer(), customer_key(ctx->w, ctx->d, ctx->c),
             [next](bool found, db::RowBuf) { next(found); });
   });
-  flow.then([this, &txn, ctx](Flow::Next next) {
+  steps.then([this, &txn, ctx](sim::Next next) {
     if (ctx->o == 0) {
       next(true);  // customer has no tracked order yet
       return;
@@ -386,29 +340,17 @@ void TxnRunner::order_status(Done done) {
               next(true);
             });
   });
-  flow.then([this, &txn, ctx](Flow::Next next) {
-    if (ctx->ol_cnt == 0) {
-      next(true);
-      return;
-    }
-    // Read each order line sequentially.
-    auto line = std::make_shared<std::uint32_t>(1);
-    auto step = std::make_shared<std::function<void()>>();
-    *step = [this, &txn, ctx, line, step, next] {
-      if (*line > ctx->ol_cnt) {
-        *step = nullptr;
-        next(true);
-        return;
-      }
-      const std::uint32_t ol = (*line)++;
-      txn.get(t_order_line(), order_line_key(ctx->w, ctx->d, ctx->o, ol),
-              [step](bool, db::RowBuf) { { auto s2 = *step; s2(); } });
-    };
-    auto kick = *step;
-    kick();
+  // Read each order line sequentially.
+  steps.then([this, &txn, ctx](sim::Next next) {
+    sim::loop_while([ctx] { return ctx->ol <= ctx->ol_cnt; },
+                    [this, &txn, ctx](sim::Next again) {
+                      txn.get(t_order_line(), order_line_key(ctx->w, ctx->d, ctx->o, ctx->ol++),
+                              [again](bool, db::RowBuf) { again(); });
+                    },
+                    std::move(next));
   });
 
-  std::move(flow).run([this, &txn, done = std::move(done)](bool ok) mutable {
+  std::move(steps).run([this, &txn, done = std::move(done)](bool ok) mutable {
     if (!ok) {
       fail(txn, TxnType::kOrderStatus, std::move(done));
       return;
@@ -434,6 +376,7 @@ void TxnRunner::delivery(Done done) {
     std::uint32_t d = 1;
     std::uint32_t c = 0;
     std::uint32_t ol_cnt = 0;
+    std::uint32_t ol = 1;  // next order line to stamp
     double total = 0;
   };
   auto ctx = std::make_shared<Ctx>();
@@ -441,9 +384,9 @@ void TxnRunner::delivery(Done done) {
   ctx->carrier = static_cast<std::uint32_t>(rng_.uniform(1, 10));
 
   db::Txn& txn = tpcc_.database().begin();
-  Flow flow;
+  sim::Steps steps;
   for (std::uint32_t d = 1; d <= tpcc_.scale().districts_per_warehouse; ++d) {
-    flow.then([this, &txn, ctx, d](Flow::Next next) {
+    steps.then([this, &txn, ctx, d](sim::Next next) {
       const std::uint32_t o = tpcc_.oldest_new_order(ctx->w, d, /*pop=*/true);
       if (o == 0) {
         next(true);  // no undelivered order in this district: skip
@@ -477,64 +420,55 @@ void TxnRunner::delivery(Done done) {
                       next(false);
                       return;
                     }
-                    // Stamp each order line with the delivery date.
-                    auto line = std::make_shared<std::uint32_t>(1);
-                    auto step = std::make_shared<std::function<void()>>();
-                    *step = [this, &txn, ctx, d, o, line, step, next] {
-                      if (*line > ctx->ol_cnt) {
-                        *step = nullptr;
-                        // Credit the customer's balance.
-                        txn.get_for_update(
-                            t_customer(), customer_key(ctx->w, d, ctx->c),
-                            [this, &txn, ctx, d, next](bool ok4, bool found2,
-                                                       db::RowBuf crow) {
-                              if (!ok4 || !found2) {
-                                next(false);
-                                return;
-                              }
-                              auto cr = from_row<CustomerRow>(crow);
-                              cr.balance += ctx->total;
-                              cr.delivery_cnt += 1;
-                              txn.update(t_customer(), customer_key(ctx->w, d, ctx->c),
-                                         to_row(cr), [next](bool ok5) { next(ok5); });
-                            });
-                        return;
-                      }
-                      const std::uint32_t ol = (*line)++;
-                      txn.get_for_update(
-                          t_order_line(), order_line_key(ctx->w, d, o, ol),
-                          [this, &txn, ctx, d, o, ol, step, next](bool ok4, bool found2,
-                                                                  db::RowBuf lrow) {
-                            if (!ok4) {
-                              next(false);
-                              return;
-                            }
-                            if (!found2) {
-                              { auto s2 = *step; s2(); }
-                              return;
-                            }
-                            auto lr = from_row<OrderLineRow>(lrow);
-                            lr.delivery_d = tpcc_.database().simulator().now().ns();
-                            ctx->total += lr.amount;
-                            txn.update(t_order_line(), order_line_key(ctx->w, d, o, ol),
-                                       to_row(lr), [step, next](bool ok5) {
-                                         if (!ok5) {
-                                           next(false);
-                                           return;
-                                         }
-                                         { auto s2 = *step; s2(); }
-                                       });
-                          });
-                    };
-                    auto kick = *step;
-                    kick();
+                    // Stamp each order line with the delivery date, then
+                    // credit the customer's balance.
+                    ctx->ol = 1;
+                    sim::loop_while(
+                        [ctx] { return ctx->ol <= ctx->ol_cnt; },
+                        [this, &txn, ctx, d, o](sim::Next again) {
+                          const std::uint32_t ol = ctx->ol++;
+                          txn.get_for_update(
+                              t_order_line(), order_line_key(ctx->w, d, o, ol),
+                              [this, &txn, ctx, d, o, ol, again](bool ok4, bool found2,
+                                                                 db::RowBuf lrow) {
+                                if (!ok4 || !found2) {
+                                  again(ok4);
+                                  return;
+                                }
+                                auto lr = from_row<OrderLineRow>(lrow);
+                                lr.delivery_d = tpcc_.database().simulator().now().ns();
+                                ctx->total += lr.amount;
+                                txn.update(t_order_line(), order_line_key(ctx->w, d, o, ol),
+                                           to_row(lr), again);
+                              });
+                        },
+                        [this, &txn, ctx, d, next](bool stamped) {
+                          if (!stamped) {
+                            next(false);
+                            return;
+                          }
+                          txn.get_for_update(
+                              t_customer(), customer_key(ctx->w, d, ctx->c),
+                              [this, &txn, ctx, d, next](bool ok4, bool found2,
+                                                         db::RowBuf crow) {
+                                if (!ok4 || !found2) {
+                                  next(false);
+                                  return;
+                                }
+                                auto cr = from_row<CustomerRow>(crow);
+                                cr.balance += ctx->total;
+                                cr.delivery_cnt += 1;
+                                txn.update(t_customer(), customer_key(ctx->w, d, ctx->c),
+                                           to_row(cr), next);
+                              });
+                        });
                   });
             });
       });
     });
   }
 
-  std::move(flow).run([this, &txn, ctx, done = std::move(done)](bool ok) mutable {
+  std::move(steps).run([this, &txn, ctx, done = std::move(done)](bool ok) mutable {
     if (!ok) {
       // Return the popped orders to the backlog (newest first so order is
       // preserved when re-prepended).
@@ -564,7 +498,9 @@ void TxnRunner::stock_level(Done done) {
     std::uint32_t w, d;
     std::uint32_t threshold;
     std::uint32_t next_o = 0;
+    std::uint32_t o = 0, ol = 1;  // next order line to read
     std::vector<std::uint32_t> item_ids;
+    std::size_t item = 0;  // next item to probe
     std::uint32_t low = 0;
   };
   auto ctx = std::make_shared<Ctx>();
@@ -573,8 +509,8 @@ void TxnRunner::stock_level(Done done) {
   ctx->threshold = static_cast<std::uint32_t>(rng_.uniform(10, 20));
 
   db::Txn& txn = tpcc_.database().begin();
-  Flow flow;
-  flow.then([this, &txn, ctx](Flow::Next next) {
+  sim::Steps steps;
+  steps.then([this, &txn, ctx](sim::Next next) {
     txn.get(t_district(), district_key(ctx->w, ctx->d),
             [ctx, next](bool found, db::RowBuf row) {
               if (!found) {
@@ -586,57 +522,42 @@ void TxnRunner::stock_level(Done done) {
             });
   });
   // Collect item ids from the last 20 orders' lines, then probe stock.
-  flow.then([this, &txn, ctx](Flow::Next next) {
-    const std::uint32_t from = ctx->next_o > 20 ? ctx->next_o - 20 : 1;
-    auto o = std::make_shared<std::uint32_t>(from);
-    auto ol = std::make_shared<std::uint32_t>(1);
-    auto step = std::make_shared<std::function<void()>>();
-    *step = [this, &txn, ctx, o, ol, step, next] {
-      if (*o >= ctx->next_o) {
-        *step = nullptr;
-        next(true);
-        return;
-      }
-      const std::uint32_t oo = *o, ll = *ol;
-      if (ll > 15) {
-        *ol = 1;
-        ++*o;
-        { auto s2 = *step; s2(); }
-        return;
-      }
-      ++*ol;
-      txn.get(t_order_line(), order_line_key(ctx->w, ctx->d, oo, ll),
-              [ctx, step](bool found, db::RowBuf row) {
-                if (found) ctx->item_ids.push_back(from_row<OrderLineRow>(row).i_id);
-                { auto s2 = *step; s2(); }
-              });
-    };
-    auto kick = *step;
-    kick();
+  steps.then([this, &txn, ctx](sim::Next next) {
+    ctx->o = ctx->next_o > 20 ? ctx->next_o - 20 : 1;
+    sim::loop_while([ctx] { return ctx->o < ctx->next_o; },
+                    [this, &txn, ctx](sim::Next again) {
+                      const std::uint32_t o = ctx->o, ol = ctx->ol;
+                      if (++ctx->ol > 15) {
+                        ctx->ol = 1;
+                        ++ctx->o;
+                      }
+                      txn.get(t_order_line(), order_line_key(ctx->w, ctx->d, o, ol),
+                              [ctx, again](bool found, db::RowBuf row) {
+                                if (found)
+                                  ctx->item_ids.push_back(from_row<OrderLineRow>(row).i_id);
+                                again();
+                              });
+                    },
+                    std::move(next));
   });
-  flow.then([this, &txn, ctx](Flow::Next next) {
+  steps.then([this, &txn, ctx](sim::Next next) {
     std::sort(ctx->item_ids.begin(), ctx->item_ids.end());
     ctx->item_ids.erase(std::unique(ctx->item_ids.begin(), ctx->item_ids.end()),
                         ctx->item_ids.end());
-    auto idx = std::make_shared<std::size_t>(0);
-    auto step = std::make_shared<std::function<void()>>();
-    *step = [this, &txn, ctx, idx, step, next] {
-      if (*idx >= ctx->item_ids.size()) {
-        *step = nullptr;
-        next(true);
-        return;
-      }
-      const std::uint32_t item = ctx->item_ids[(*idx)++];
-      txn.get(t_stock(), stock_key(ctx->w, item), [ctx, step](bool found, db::RowBuf row) {
-        if (found && from_row<StockRow>(row).quantity < ctx->threshold) ++ctx->low;
-        { auto s2 = *step; s2(); }
-      });
-    };
-    auto kick = *step;
-    kick();
+    sim::loop_while([ctx] { return ctx->item < ctx->item_ids.size(); },
+                    [this, &txn, ctx](sim::Next again) {
+                      const std::uint32_t item = ctx->item_ids[ctx->item++];
+                      txn.get(t_stock(), stock_key(ctx->w, item),
+                              [ctx, again](bool found, db::RowBuf row) {
+                                if (found && from_row<StockRow>(row).quantity < ctx->threshold)
+                                  ++ctx->low;
+                                again();
+                              });
+                    },
+                    std::move(next));
   });
 
-  std::move(flow).run([this, &txn, done = std::move(done)](bool ok) mutable {
+  std::move(steps).run([this, &txn, done = std::move(done)](bool ok) mutable {
     if (!ok) {
       fail(txn, TxnType::kStockLevel, std::move(done));
       return;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
-#include <stdexcept>
 
 namespace trail::tpcc {
 
@@ -280,8 +279,7 @@ TpccDatabase::ConsistencyReport TpccDatabase::check_consistency(sim::Simulator& 
       out = std::move(row);
       done = true;
     });
-    while (!done)
-      if (!sim.step()) throw std::runtime_error("check_consistency: stalled");
+    sim.step_until([&] { return done; }, "check_consistency");
     return found;
   };
 

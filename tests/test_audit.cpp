@@ -117,7 +117,8 @@ class AuditVerifierTest : public TrailFixture {
  protected:
   static constexpr int kRecords = 5;
 
-  AuditVerifierTest() : TrailFixture(2) {}
+  explicit AuditVerifierTest(disk::DiskProfile log_profile = disk::small_test_disk())
+      : TrailFixture(2, std::move(log_profile)) {}
 
   /// Run kRecords writes in epoch 1, crash with them pending, and return
   /// the image's records sorted oldest -> youngest.
@@ -388,6 +389,85 @@ TEST_F(AuditVerifierTest, CorruptEntryArrayDetected) {
   const auto found = remount_records();
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(*found, static_cast<std::uint32_t>(kRecords));
+}
+
+TEST_F(AuditVerifierTest, PayloadCrossingItsTrackDetected) {
+  const auto records = prepare_crashed_log();
+  // Stamp a newer record on the youngest record's track, in its last
+  // sector, so the payload runs onto the next track. The writer never
+  // places a record that way.
+  const audit::ParsedRecord& youngest = records.back();
+  const disk::Geometry& geom = log_disk->geometry();
+  const disk::TrackId track = geom.track_of_lba(youngest.header_lba);
+  const disk::Lba lba = geom.first_lba_of_track(track) + geom.spt_of_track(track) - 1;
+  ASSERT_FALSE(log_disk->store().is_written(lba));
+  core::RecordHeader crossing = youngest.header;
+  crossing.sequence_id += 1;
+  crossing.prev_sect = core::encode_log_ptr(0, static_cast<std::uint32_t>(youngest.header_lba));
+  for (std::uint32_t i = 0; i < crossing.batch_size; ++i)
+    crossing.entries[i].log_lba = static_cast<std::uint32_t>(lba + 1 + i);
+  disk::SectorBuf sector{};
+  core::serialize_record_header(crossing, sector);
+  log_disk->store().write(lba, 1, sector);
+
+  Report report = audit::verify_log(*log_disk);
+  const audit::Check& entries = report.check("log.record_entries");
+  EXPECT_GT(entries.errors(), 0u) << report.to_string();
+  bool reported = false;
+  for (const Finding& f : entries.findings())
+    reported |= f.lba == lba && f.message == "record payload crosses its track";
+  EXPECT_TRUE(reported) << report.to_string();
+  expect_census_survives();
+
+  log_disk->restart();
+  for (auto& d : data_disks) d->restart();
+  core::TrailDriver fresh(sim, *log_disk);
+  for (auto& d : data_disks) (void)fresh.add_data_disk(*d);
+  try {
+    fresh.mount();
+    ADD_FAILURE() << "mount adopted a record that crosses its track";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "recovery: record payload crosses its track");
+  }
+}
+
+/// A log disk whose tracks are wider than recovery's read window.
+class WideTrackVerifierTest : public AuditVerifierTest {
+ protected:
+  WideTrackVerifierTest() : AuditVerifierTest(disk::st41601n()) {}
+};
+
+TEST_F(WideTrackVerifierTest, RecordStraddlingReadWindowRecovers) {
+  const auto records = prepare_crashed_log();
+  // Stamp a legal newer record kMaxTrailBatch sectors before the
+  // youngest one on the same track (the head wrapped around the track
+  // between the two writes). Recovery's read window anchored at the
+  // newer record, 1 + kMaxTrailBatch sectors, then ends just after the
+  // older record's header, before its payload.
+  const audit::ParsedRecord& youngest = records.back();
+  const disk::Geometry& geom = log_disk->geometry();
+  const disk::Lba lba = youngest.header_lba - core::kMaxTrailBatch;
+  ASSERT_EQ(geom.track_of_lba(lba), geom.track_of_lba(youngest.header_lba));
+  ASSERT_FALSE(log_disk->store().is_written(lba));
+  ASSERT_FALSE(log_disk->store().is_written(lba + 1));
+  core::RecordHeader newer = youngest.header;
+  newer.sequence_id += 1;
+  newer.prev_sect = core::encode_log_ptr(0, static_cast<std::uint32_t>(youngest.header_lba));
+  newer.batch_size = 1;
+  newer.entries.resize(1);
+  newer.entries[0].log_lba = static_cast<std::uint32_t>(lba + 1);
+  newer.entries[0].data_lba = 900;
+  disk::SectorBuf payload{};  // zero fill: already escaped
+  newer.entries[0].first_data_byte = core::escape_payload_sector(payload);
+  newer.payload_crc = core::payload_image_crc(payload);
+  disk::SectorBuf sector{};
+  core::serialize_record_header(newer, sector);
+  log_disk->store().write(lba, 1, sector);
+  log_disk->store().write(lba + 1, 1, payload);
+
+  const Report report = audit::verify_log(*log_disk);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_EQ(remount_records(), static_cast<std::uint32_t>(kRecords + 1));
 }
 
 TEST_F(AuditVerifierTest, CorruptChainPayloadDetected) {

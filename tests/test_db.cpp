@@ -3,7 +3,6 @@
 #include <cstring>
 #include <memory>
 
-#include "db/chain.hpp"
 #include "db/database.hpp"
 #include "disk/disk_device.hpp"
 #include "disk/profile.hpp"
@@ -347,34 +346,6 @@ TEST_F(DbTest, OfflinePopulationVisibleAfterRecover) {
   (void)db->recover();
   EXPECT_EQ(db->table(items).row_count(), 50u);
   EXPECT_EQ(get_sync(17).second, row_of(kRow, 17));
-}
-
-TEST_F(DbTest, ChainRunsStepsInOrder) {
-  std::vector<int> order;
-  Chain chain;
-  chain.then([&](Chain::Next next) {
-    order.push_back(1);
-    next();
-  });
-  chain.then([&](Chain::Next next) {
-    order.push_back(2);
-    // Asynchronous step.
-    sim.schedule(sim::millis(1), [next] { next(); });
-  });
-  chain.then([&](Chain::Next next) {
-    order.push_back(3);
-    next();
-  });
-  bool done = false;
-  std::move(chain).run([&] { done = true; });
-  pump(done);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST_F(DbTest, EmptyChainCompletes) {
-  bool done = false;
-  Chain{}.run([&] { done = true; });
-  EXPECT_TRUE(done);
 }
 
 }  // namespace

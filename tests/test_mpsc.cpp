@@ -20,7 +20,6 @@ namespace trail {
 namespace {
 
 using core::Admission;
-using core::AdmissionPolicy;
 using core::MpscFrontEnd;
 using core::SubmissionQueue;
 using core::SyncTicket;
@@ -37,40 +36,15 @@ SubmissionQueue::Request req(SyncTicket* ticket = nullptr) {
 // Admission control (single-threaded shapes)
 // ---------------------------------------------------------------------------
 
-TEST(SubmissionQueue, RejectPolicyTurnsAwayWhenFull) {
-  obs::MetricsRegistry metrics;
-  SubmissionQueue q({.capacity = 2, .policy = AdmissionPolicy::kReject}, &metrics);
-
-  EXPECT_EQ(q.submit(req()), Admission::kOk);
-  EXPECT_EQ(q.submit(req()), Admission::kOk);
-  EXPECT_EQ(q.submit(req()), Admission::kRejected);
-  EXPECT_EQ(q.depth(), 2u);
-  EXPECT_EQ(metrics.counter("mpsc.enqueued").value(), 2u);
-  EXPECT_EQ(metrics.counter("mpsc.rejected").value(), 1u);
-  EXPECT_EQ(metrics.gauge("mpsc.depth").max(), 2);
-
-  // Draining reopens admission.
-  std::vector<SubmissionQueue::Request> batch;
-  EXPECT_EQ(q.drain(batch), 2u);
-  EXPECT_EQ(q.submit(req()), Admission::kOk);
-}
-
-TEST(SubmissionQueue, TrySubmitNeverBlocksRegardlessOfPolicy) {
-  SubmissionQueue q({.capacity = 1, .policy = AdmissionPolicy::kBlock});
-  EXPECT_EQ(q.try_submit(req()), Admission::kOk);
-  EXPECT_EQ(q.try_submit(req()), Admission::kRejected);  // full; would block via submit()
-}
-
 TEST(SubmissionQueue, SubmitAfterCloseReturnsClosed) {
-  SubmissionQueue q({.capacity = 4, .policy = AdmissionPolicy::kBlock});
+  SubmissionQueue q({.capacity = 4});
   q.close();
   EXPECT_TRUE(q.closed());
   EXPECT_EQ(q.submit(req()), Admission::kClosed);
-  EXPECT_EQ(q.try_submit(req()), Admission::kClosed);
 }
 
 TEST(SubmissionQueue, DrainWaitReturnsZeroOnlyWhenClosedAndEmpty) {
-  SubmissionQueue q({.capacity = 4, .policy = AdmissionPolicy::kBlock});
+  SubmissionQueue q({.capacity = 4});
   ASSERT_EQ(q.submit(req()), Admission::kOk);
   q.close();
 
@@ -87,7 +61,7 @@ TEST(SubmissionQueue, DrainWaitReturnsZeroOnlyWhenClosedAndEmpty) {
 
 TEST(SubmissionQueue, BlockingBackpressureUnblocksOnDrain) {
   obs::MetricsRegistry metrics;
-  SubmissionQueue q({.capacity = 1, .policy = AdmissionPolicy::kBlock}, &metrics);
+  SubmissionQueue q({.capacity = 1}, &metrics);
   ASSERT_EQ(q.submit(req()), Admission::kOk);  // ring now full
 
   std::atomic<bool> admitted{false};
@@ -110,7 +84,7 @@ TEST(SubmissionQueue, BlockingBackpressureUnblocksOnDrain) {
 }
 
 TEST(SubmissionQueue, ShutdownWakesBlockedProducers) {
-  SubmissionQueue q({.capacity = 1, .policy = AdmissionPolicy::kBlock});
+  SubmissionQueue q({.capacity = 1});
   ASSERT_EQ(q.submit(req()), Admission::kOk);
 
   constexpr int kProducers = 4;
@@ -162,7 +136,7 @@ obs::Histogram run_scripted(bench::TrailStack& stack, const ParityParams& p) {
 /// The MPSC side: one REAL producer thread re-rolling the workload's
 /// exact RNG sequence, synchronously (submit → wait ticket → repeat).
 obs::Histogram run_mpsc(bench::TrailStack& stack, const ParityParams& p) {
-  SubmissionQueue queue({.capacity = 8, .policy = AdmissionPolicy::kBlock});  // no mpsc.* series:
+  SubmissionQueue queue({.capacity = 8});  // no mpsc.* series:
   MpscFrontEnd front_end(stack.sim, *stack.driver, queue);  // registries must stay comparable
   const disk::Lba device_sectors = stack.data_disks[0]->geometry().total_sectors();
 
@@ -227,8 +201,7 @@ TEST(MpscStress, FourProducersThroughBoundedRing) {
   constexpr std::uint32_t kWritesEach = 60;
 
   bench::TrailStack stack(3);
-  SubmissionQueue queue({.capacity = 8, .policy = AdmissionPolicy::kBlock},
-                        &stack.obs.metrics);
+  SubmissionQueue queue({.capacity = 8}, &stack.obs.metrics);
   MpscFrontEnd front_end(stack.sim, *stack.driver, queue, &stack.obs.metrics);
   const disk::Lba device_sectors = stack.data_disks[0]->geometry().total_sectors();
 
@@ -267,7 +240,6 @@ TEST(MpscStress, FourProducersThroughBoundedRing) {
   EXPECT_EQ(front_end.acked(), kTotal);
   EXPECT_EQ(latencies->count(), kTotal);
   EXPECT_EQ(stack.obs.metrics.counter("mpsc.enqueued").value(), kTotal);
-  EXPECT_EQ(stack.obs.metrics.counter("mpsc.rejected").value(), 0u);
   EXPECT_LE(stack.obs.metrics.gauge("mpsc.depth").max(), 8);
   EXPECT_EQ(stack.obs.metrics.histogram("mpsc.batch_requests").sum(),
             static_cast<std::int64_t>(kTotal));

@@ -2,12 +2,15 @@
 
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
+#include "sim/steps.hpp"
 #include "sim/time.hpp"
 
 namespace trail::sim {
@@ -220,6 +223,139 @@ TEST(Simulator, EventLimitThrows) {
   std::function<void()> loop = [&] { sim.schedule(millis(1), loop); };
   sim.schedule(millis(1), loop);
   EXPECT_THROW(sim.run(), SimulationOverrun);
+}
+
+TEST(Simulator, StepUntilStopsOnceDone) {
+  Simulator sim;
+  int fired = 0;
+  for (int i = 1; i <= 3; ++i) sim.schedule(millis(i), [&] { ++fired; });
+  sim.step_until([&] { return fired == 2; }, "two events");
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sim.pending_events(), 1u);
+}
+
+TEST(Simulator, StepUntilThrowsNamingWhatWhenQueueEmpties) {
+  Simulator sim;
+  sim.schedule(millis(1), [] {});
+  try {
+    sim.step_until([] { return false; }, "the test wait");
+    FAIL() << "expected a stall";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("the test wait"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Steps, RunsStepsInOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  Steps steps;
+  steps.then([&](Next next) {
+    order.push_back(1);
+    next();
+  });
+  steps.then([&](Next next) {
+    order.push_back(2);
+    // Asynchronous step.
+    sim.schedule(millis(1), [next] { next(); });
+  });
+  steps.then([&](Next next) {
+    order.push_back(3);
+    next();
+  });
+  std::optional<bool> result;
+  std::move(steps).run([&](bool ok) { result = ok; });
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_FALSE(result.has_value());
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(result, true);
+}
+
+TEST(Steps, EmptyStepsComplete) {
+  std::optional<bool> result;
+  Steps{}.run([&](bool ok) { result = ok; });
+  EXPECT_EQ(result, true);
+}
+
+TEST(Steps, NextFalseSkipsTheRest) {
+  Simulator sim;
+  std::vector<int> order;
+  Steps steps;
+  steps.then([&](Next next) {
+    order.push_back(1);
+    sim.schedule(millis(1), [next] { next(false); });
+  });
+  steps.then([&](Next next) {
+    order.push_back(2);
+    next();
+  });
+  std::optional<bool> result;
+  std::move(steps).run([&](bool ok) { result = ok; });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(result, false);
+}
+
+TEST(Steps, StepThatNeverContinuesFreesTheChain) {
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = token;
+  bool done = false;
+  {
+    Steps steps;
+    steps.then([&sim](Next next) {
+      // The completion is dropped without calling next, as a crash does.
+      sim.schedule(millis(1), [next] { static_cast<void>(next); });
+    });
+    steps.then([token](Next next) { next(); });
+    std::move(steps).run([&done, token](bool) { done = true; });
+  }
+  token.reset();
+  EXPECT_FALSE(watch.expired());  // the pending completion holds the chain
+  sim.run();
+  EXPECT_FALSE(done);
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(LoopWhile, RunsAsyncBodyWhileConditionHolds) {
+  Simulator sim;
+  int i = 0;
+  std::vector<TimePoint> at;
+  std::optional<bool> result;
+  loop_while([&] { return i < 3; },
+             [&](Next next) {
+               ++i;
+               sim.schedule(millis(1), [&at, &sim, next] {
+                 at.push_back(sim.now());
+                 next();
+               });
+             },
+             [&](bool ok) { result = ok; });
+  sim.run();
+  EXPECT_EQ(i, 3);
+  EXPECT_EQ(at, (std::vector<TimePoint>{TimePoint{millis(1).ns()}, TimePoint{millis(2).ns()},
+                                         TimePoint{millis(3).ns()}}));
+  EXPECT_EQ(result, true);
+}
+
+TEST(LoopWhile, ZeroIterationsCompleteSynchronously) {
+  std::optional<bool> result;
+  loop_while([] { return false; }, [](Next) { FAIL() << "body must not run"; },
+             [&](bool ok) { result = ok; });
+  EXPECT_EQ(result, true);
+}
+
+TEST(LoopWhile, NextFalseEndsTheLoop) {
+  int runs = 0;
+  std::optional<bool> result;
+  loop_while([] { return true; },
+             [&](Next next) {
+               ++runs;
+               next(runs < 2);
+             },
+             [&](bool ok) { result = ok; });
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(result, false);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {

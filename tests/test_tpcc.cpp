@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "core/format_tool.hpp"
 #include "core/trail_driver.hpp"
@@ -142,6 +143,34 @@ TEST_F(TpccTest, ConcurrentClientsKeepInvariants) {
   EXPECT_TRUE(report.ok) << report.detail;
   // With real concurrency the wall time should beat 4x the serial rate...
   // at minimum, it must make progress and leave no locks behind.
+  EXPECT_EQ(database->locks().held_locks(), 0u);
+}
+
+TEST_F(TpccTest, DeliveryAbortsOnOrderLineLockTimeout) {
+  open();
+  populate();
+  const std::uint32_t o = tpcc->oldest_new_order(1, 1, /*pop=*/false);
+  ASSERT_NE(o, 0u);
+  // Another transaction holds the X-lock on the order's first line.
+  db::Txn& holder = database->begin();
+  bool locked = false;
+  holder.get_for_update(tpcc->table(kOrderLine), order_line_key(1, 1, o, 1),
+                        [&](bool ok, bool found, db::RowBuf) { locked = ok && found; });
+  sim->step_until([&] { return locked; }, "order-line lock");
+
+  TxnRunner runner(*tpcc, sim::Rng(3));
+  std::optional<TxnResult> result;
+  runner.run(TxnType::kDelivery, [&](TxnResult r) { result = r; });
+  sim->step_until([&] { return result.has_value(); }, "delivery");
+  EXPECT_EQ(result->type, TxnType::kDelivery);
+  EXPECT_FALSE(result->committed);
+  EXPECT_FALSE(result->user_abort);
+  // The abort returned every popped order to the backlog.
+  EXPECT_EQ(tpcc->oldest_new_order(1, 1, /*pop=*/false), o);
+
+  bool released = false;
+  database->abort(holder, [&] { released = true; });
+  sim->step_until([&] { return released; }, "holder abort");
   EXPECT_EQ(database->locks().held_locks(), 0u);
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 
 #include "trail_fixture.hpp"
 
@@ -268,6 +269,23 @@ TEST_F(TrailDriverTest, DrainCompletesWhenQuiescent) {
   driver->drain([&] { drained = true; });
   sim.run_until(sim.now() + sim::millis(5));
   EXPECT_TRUE(drained);
+}
+
+TEST_F(TrailDriverTest, DrainPendingAtCrashReleasesCallback) {
+  start();
+  write_sync({devices[0], 64}, make_pattern(2, 3));  // write-back still pending
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = token;
+  bool drained = false;
+  driver->drain([&drained, token] { drained = true; });
+  token.reset();
+  sim.run_until(sim.now());  // the first check runs and arms the 500 us poll
+  ASSERT_FALSE(drained);
+  driver->crash();
+  driver.reset();
+  sim.run();  // the armed poll fires into the crashed driver's alive flag
+  EXPECT_FALSE(drained);
+  EXPECT_TRUE(watch.expired()) << "the drain poll kept the callback alive";
 }
 
 TEST_F(TrailDriverTest, StatsAreCoherent) {

@@ -103,7 +103,9 @@ MpscPoint run_mpsc(int producers) {
   core::MpscFrontEnd front_end(stack.sim, *stack.driver, queue, &stack.obs.metrics);
   const disk::Lba device_sectors = stack.data_disks[0]->geometry().total_sectors();
 
-  auto latencies = std::make_shared<obs::Histogram>();  // atomic: producers record directly
+  // obs cells belong to the simulation thread: each producer keeps its
+  // own latencies, folded into one histogram after the join.
+  std::vector<std::vector<std::int64_t>> latencies(static_cast<std::size_t>(producers));
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(producers));
   for (int p = 0; p < producers; ++p) {
@@ -122,7 +124,9 @@ MpscPoint run_mpsc(int producers) {
           return;  // closed underneath us — bench teardown
         }
         ticket.wait();
-        if (i >= kWarmupPerProducer) latencies->record(ticket.latency_ns());
+        if (i >= kWarmupPerProducer) {
+          latencies[static_cast<std::size_t>(p)].push_back(ticket.latency_ns());
+        }
       }
     });
   }
@@ -132,6 +136,10 @@ MpscPoint run_mpsc(int producers) {
   });
   front_end.run();  // this thread is the consumer / simulation thread
   closer.join();
+  obs::Histogram latency;
+  for (const auto& mine : latencies) {
+    for (const std::int64_t ns : mine) latency.record(ns);
+  }
 
   const auto& stats = stack.driver->stats();
   MpscPoint pt;
@@ -139,8 +147,8 @@ MpscPoint run_mpsc(int producers) {
   const double span_sec = stack.sim.now().sec();
   pt.achieved_wps =
       span_sec > 0 ? static_cast<double>(front_end.acked()) / span_sec : 0.0;
-  pt.mean_ms = latencies->mean_ms();
-  pt.p99_ms = latencies->percentile_ms(99);
+  pt.mean_ms = latency.mean_ms();
+  pt.p99_ms = latency.percentile_ms(99);
   pt.mean_batch = stats.physical_log_writes > 0
                       ? static_cast<double>(stats.requests_logged) /
                             static_cast<double>(stats.physical_log_writes)

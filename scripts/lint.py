@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific lint wall (DESIGN.md §9) — run from anywhere, no deps.
 
-Six checks, each encoding a convention the compiler cannot see:
+Seven checks, each encoding a convention the compiler cannot see:
 
 1. obs lane ranges: every fixed trace lane constant in src/obs/obs.hpp
    (kDriverTid, kRecoveryTid, ...) must sit at or above
@@ -27,17 +27,21 @@ Six checks, each encoding a convention the compiler cannot see:
 
 5. thread-safety wall, coverage: inside any class that declares a
    sync::Mutex member, every mutable data member must carry
-   TRAIL_GUARDED_BY/TRAIL_PT_GUARDED_BY. Exempt: std::atomic members,
-   const/static/constexpr members, sync primitives themselves, and
-   members annotated with an `// unguarded: <reason>` comment (the
-   reviewed escape hatch — e.g. pointers set once in the constructor
-   whose pointees are internally atomic).
+   TRAIL_GUARDED_BY/TRAIL_PT_GUARDED_BY. Exempt: const/static/constexpr
+   members, sync primitives themselves, and members annotated with an
+   `// unguarded: <reason>` comment (the reviewed escape hatch).
 
 6. no self-owning closures under src/: `make_shared<std::function` is
    the idiom of a callback that captures its own shared_ptr and must
    clear itself by hand on every exit (a missed exit leaks it). Sequence
    asynchronous steps with sim::loop_while / sim::Steps
    (src/sim/steps.hpp), whose state lives only in pending continuations.
+
+7. no std::atomic under src/ outside src/sync/: trail::obs cells are
+   plain integers owned by the simulation thread, and the one piece of
+   state that crosses threads (the MPSC queue and its mpsc.* cells)
+   sits behind a sync::Mutex with TRAIL_GUARDED_BY/TRAIL_PT_GUARDED_BY,
+   where the thread-safety analysis and TSan both see every access.
 
 Exit status 0 = clean, 1 = findings (printed one per line).
 """
@@ -285,8 +289,6 @@ def member_exempt(line: str, raw: str) -> bool:
         return True
     if re.match(r"^\s*(static|constexpr|const)\b", line):
         return True  # immutable after construction: no lock needed
-    if "std::atomic" in line:
-        return True  # lock-free by design (metrics hot path)
     if "sync::Mutex" in line or "sync::CondVar" in line:
         return True  # the capability itself / its wait queues
     return "unguarded:" in raw  # reviewed escape hatch, reason required
@@ -334,6 +336,26 @@ def check_self_owning_closures() -> None:
                 )
 
 
+# ---------------------------------------------------------------- check 7
+
+ATOMIC = re.compile(r"\bstd::atomic\b|#\s*include\s*<atomic>")
+
+
+def check_no_atomics() -> None:
+    for path in source_files():
+        rel = str(path.relative_to(SRC))
+        if rel.startswith("sync/"):
+            continue
+        for lineno, line in enumerate(strip_block_comments(path.read_text().splitlines()), 1):
+            if ATOMIC.search(line):
+                fail(
+                    path,
+                    lineno,
+                    "std::atomic outside src/sync/ — guard shared state with a "
+                    "sync::Mutex and TRAIL_GUARDED_BY/TRAIL_PT_GUARDED_BY",
+                )
+
+
 def main() -> int:
     check_obs_lanes()
     check_metric_registry()
@@ -341,6 +363,7 @@ def main() -> int:
     check_raw_sync_primitives()
     check_guarded_members()
     check_self_owning_closures()
+    check_no_atomics()
     if findings:
         print(f"lint.py: {len(findings)} finding(s)")
         for f in findings:

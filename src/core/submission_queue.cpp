@@ -9,14 +9,11 @@ namespace trail::core {
 // ---------------------------------------------------------------------------
 
 SubmissionQueue::SubmissionQueue(Options options, obs::MetricsRegistry* metrics)
-    : cap_(options.capacity == 0 ? 1 : options.capacity) {
-  if (metrics != nullptr) {
-    c_enqueued_ = &metrics->counter("mpsc.enqueued");
-    c_blocked_ = &metrics->counter("mpsc.blocked");
-    h_blocked_ns_ = &metrics->histogram("mpsc.blocked_ns");
-    g_depth_ = &metrics->gauge("mpsc.depth");
-  }
-}
+    : cap_(options.capacity == 0 ? 1 : options.capacity),
+      c_enqueued_(metrics != nullptr ? &metrics->counter("mpsc.enqueued") : nullptr),
+      c_blocked_(metrics != nullptr ? &metrics->counter("mpsc.blocked") : nullptr),
+      h_blocked_ns_(metrics != nullptr ? &metrics->histogram("mpsc.blocked_ns") : nullptr),
+      g_depth_(metrics != nullptr ? &metrics->gauge("mpsc.depth") : nullptr) {}
 
 Admission SubmissionQueue::submit(const Request& request) {
   sync::MutexLock lock(mu_);
@@ -25,6 +22,7 @@ Admission SubmissionQueue::submit(const Request& request) {
     // Backpressure: park until the consumer drains (or close() fires).
     // The wait is REAL time — the only wall-clock measurement in the
     // tree, and it never feeds back into simulated behaviour.
+    ++blocked_;
     if (c_blocked_ != nullptr) c_blocked_->inc();
     const auto t0 = std::chrono::steady_clock::now();
     while (ring_.size() >= cap_ && !closed_) not_full_.wait(mu_);

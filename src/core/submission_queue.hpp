@@ -9,8 +9,8 @@
 // thread drains batches into the BlockDriver and steps the simulator.
 // The split keeps the determinism argument trivial:
 //
-//   * producers touch ONLY the SubmissionQueue, their SyncTicket, and
-//     lock-free metric atomics — never the simulator, driver, or tracer;
+//   * producers touch ONLY the SubmissionQueue and their SyncTicket —
+//     never the simulator, driver, tracer, or any other obs cell;
 //   * the consumer thread EXCLUSIVELY owns the simulator: it is the only
 //     thread that calls sim.step(), submit_write(), or emits trace
 //     events, so virtual time stays a single-threaded total order.
@@ -33,7 +33,10 @@
 // mpsc.blocked_ns histogram (REAL steady-clock nanoseconds a producer
 // spent in backpressure — the only wall-clock metric in the tree),
 // mpsc.depth gauge (+ high watermark), mpsc.batch_requests histogram
-// (requests per consumer drain).
+// (requests per consumer drain). obs cells are plain integers owned by
+// the simulation thread; the queue's four cells are the exception,
+// written from producer threads and therefore only under the queue
+// lock (TRAIL_PT_GUARDED_BY). Read them after joining the producers.
 #pragma once
 
 #include <cstdint>
@@ -146,6 +149,11 @@ class SubmissionQueue {
     return ring_.size();
   }
   [[nodiscard]] std::size_t capacity() const { return cap_; }
+  /// Submissions that have parked in backpressure so far.
+  [[nodiscard]] std::uint64_t blocked() const TRAIL_EXCLUDES(mu_) {
+    sync::MutexLock lock(mu_);
+    return blocked_;
+  }
 
  private:
   std::size_t drain_locked(std::vector<Request>& out) TRAIL_REQUIRES(mu_);
@@ -157,12 +165,13 @@ class SubmissionQueue {
   sync::CondVar not_empty_;  // the consumer parks here in drain_wait
   std::vector<Request> ring_ TRAIL_GUARDED_BY(mu_);
   bool closed_ TRAIL_GUARDED_BY(mu_) = false;
+  std::uint64_t blocked_ TRAIL_GUARDED_BY(mu_) = 0;
 
-  // Atomic metric primitives: poked outside mu_ (recording never locks).
-  obs::Counter* c_enqueued_ = nullptr;      // unguarded: set once in ctor, target is atomic
-  obs::Counter* c_blocked_ = nullptr;       // unguarded: set once in ctor, target is atomic
-  obs::Histogram* h_blocked_ns_ = nullptr;  // unguarded: set once in ctor, target is atomic
-  obs::Gauge* g_depth_ = nullptr;           // unguarded: set once in ctor, target is atomic
+  // Set once in the constructor; the cells behind them move only under mu_.
+  obs::Counter* const c_enqueued_ TRAIL_PT_GUARDED_BY(mu_);
+  obs::Counter* const c_blocked_ TRAIL_PT_GUARDED_BY(mu_);
+  obs::Histogram* const h_blocked_ns_ TRAIL_PT_GUARDED_BY(mu_);
+  obs::Gauge* const g_depth_ TRAIL_PT_GUARDED_BY(mu_);
 };
 
 /// The single consumer: drains the queue into a BlockDriver and steps

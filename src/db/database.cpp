@@ -10,6 +10,9 @@
 
 namespace trail::db {
 
+// Simulated commit-path compute charged to every transaction.
+constexpr sim::Duration kCpuPerTxn = sim::micros(50);
+
 // ---------------------------------------------------------------------------
 // Txn
 // ---------------------------------------------------------------------------
@@ -242,7 +245,7 @@ void Database::commit(Txn& txn, std::function<void(bool)> done) {
   if (txn.first_lsn_ == kInvalidLsn) {
     ++stats_.commits;
     release(txn);
-    sim_.schedule(config_.cpu_per_txn, [done = std::move(done)] {
+    sim_.schedule(kCpuPerTxn, [done = std::move(done)] {
       if (done) done(true);
     });
     return;
@@ -250,7 +253,7 @@ void Database::commit(Txn& txn, std::function<void(bool)> done) {
   const TxnId id = txn.id_;
   // Charge the transaction's commit-path compute before the log force.
   auto alive = alive_;
-  sim_.schedule(config_.cpu_per_txn, [this, alive, id, done = std::move(done)]() mutable {
+  sim_.schedule(kCpuPerTxn, [this, alive, id, done = std::move(done)]() mutable {
     if (!*alive) return;
     auto ait = active_txns_.find(id);
     if (ait == active_txns_.end()) {

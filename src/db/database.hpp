@@ -42,7 +42,6 @@ struct DbConfig {
   std::size_t log_buffer_bytes = 50 * 1024;           // paper's default
   std::uint64_t log_region_sectors = 131'072;         // 64 MB log file
   std::uint64_t checkpoint_every_bytes = 8ull << 20;  // 0 = manual only
-  sim::Duration cpu_per_txn = sim::micros(50);        // commit-path compute
 };
 
 struct DbStats {

@@ -18,8 +18,8 @@
 //                   State& state) const;  // advances off and state
 //   };
 //
-// The ring takes no lock: each owner holds it TRAIL_GUARDED_BY its own
-// sync::Mutex, so the Thread Safety Analysis sees every access.
+// Like every obs primitive, the ring belongs to the simulation thread and
+// takes no lock.
 #pragma once
 
 #include <cstddef>

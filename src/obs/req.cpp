@@ -92,7 +92,6 @@ FlightRecord FlightRecorder::Codec::decode(const std::vector<std::uint8_t>& in, 
 }
 
 std::string FlightRecorder::dump_tail(std::size_t n) const {
-  sync::MutexLock lock(mu_);
   // Plain integers only — the dump is diffable across identical seeds.
   n = std::min(n, ring_.size());
   std::string out = "flight: " + std::to_string(ring_.size()) + " records retained, " +

@@ -42,7 +42,6 @@
 #include "obs/delta_ring.hpp"
 #include "obs/metrics.hpp"
 #include "sim/time.hpp"
-#include "sync/sync.hpp"
 
 namespace trail::obs {
 
@@ -87,53 +86,31 @@ struct FlightRecord {
 /// and dumped as deterministic text by `trail::audit` failures,
 /// recovery, and `log_inspector --flightdump`. The capacity is fixed at
 /// construction; the oldest record is evicted when a push would exceed
-/// it. One sync::Mutex guards the ring, so trackers on different threads
-/// (and a post-mortem dumper) can share the recorder safely.
+/// it. Like the rest of trail::obs it belongs to the simulation thread.
 class FlightRecorder {
  public:
   explicit FlightRecorder(std::size_t capacity = 1 << 12) : ring_(capacity) {}
 
-  void push(const FlightRecord& record) TRAIL_EXCLUDES(mu_) {
-    sync::MutexLock lock(mu_);
-    ring_.push(record);
-  }
+  void push(const FlightRecord& record) { ring_.push(record); }
 
-  [[nodiscard]] std::size_t size() const TRAIL_EXCLUDES(mu_) {
-    sync::MutexLock lock(mu_);
-    return ring_.size();
-  }
-  [[nodiscard]] std::size_t capacity() const TRAIL_EXCLUDES(mu_) {
-    sync::MutexLock lock(mu_);
-    return ring_.capacity();
-  }
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
   /// Records evicted because the ring was full.
-  [[nodiscard]] std::uint64_t dropped() const TRAIL_EXCLUDES(mu_) {
-    sync::MutexLock lock(mu_);
-    return ring_.dropped();
-  }
+  [[nodiscard]] std::uint64_t dropped() const { return ring_.dropped(); }
   /// Bytes currently held by the delta/mask-encoded stream.
-  [[nodiscard]] std::size_t encoded_bytes() const TRAIL_EXCLUDES(mu_) {
-    sync::MutexLock lock(mu_);
-    return ring_.encoded_bytes();
-  }
+  [[nodiscard]] std::size_t encoded_bytes() const { return ring_.encoded_bytes(); }
 
   /// Oldest-first record access, i in [0, size()), else
   /// std::out_of_range. Ascending access is O(1) amortized.
-  [[nodiscard]] FlightRecord at(std::size_t i) const TRAIL_EXCLUDES(mu_) {
-    sync::MutexLock lock(mu_);
-    return ring_.at(i);
-  }
+  [[nodiscard]] FlightRecord at(std::size_t i) const { return ring_.at(i); }
 
-  void clear() TRAIL_EXCLUDES(mu_) {
-    sync::MutexLock lock(mu_);
-    ring_.clear();
-  }
+  void clear() { ring_.clear(); }
 
   /// Deterministic text dump, oldest record first: one header line plus
   /// one line per record (integer nanoseconds — no float formatting).
-  [[nodiscard]] std::string dump() const TRAIL_EXCLUDES(mu_) { return dump_tail(SIZE_MAX); }
+  [[nodiscard]] std::string dump() const { return dump_tail(SIZE_MAX); }
   /// Like dump(), but only the newest `n` records.
-  [[nodiscard]] std::string dump_tail(std::size_t n) const TRAIL_EXCLUDES(mu_);
+  [[nodiscard]] std::string dump_tail(std::size_t n) const;
 
  private:
   /// The record format inside the ring: header-field mask bits and
@@ -148,8 +125,7 @@ class FlightRecorder {
                                FlightRecord& state);
   };
 
-  mutable sync::Mutex mu_;  // one capability over the whole ring
-  DeltaRing<Codec> ring_ TRAIL_GUARDED_BY(mu_);
+  DeltaRing<Codec> ring_;
 };
 
 /// Per-driver request attribution: open() at submit, stamp() at each

@@ -26,12 +26,10 @@ EventTracer::EventTracer(const sim::Simulator& sim, std::size_t capacity)
     : sim_(&sim), ring_(capacity) {}
 
 void EventTracer::set_track_name(std::uint32_t tid, std::string name) {
-  sync::MutexLock lock(mu_);
   track_names_[tid] = std::move(name);
 }
 
 const char* EventTracer::intern_name(std::string_view name) {
-  sync::MutexLock lock(mu_);
   auto it = owned_names_.find(name);
   if (it == owned_names_.end()) it = owned_names_.emplace(name).first;
   return it->c_str();
@@ -95,11 +93,6 @@ TraceEvent EventTracer::Codec::decode(const std::vector<std::uint8_t>& in, std::
   return e;
 }
 
-void EventTracer::push(const TraceEvent& e) {
-  sync::MutexLock lock(mu_);
-  ring_.push(e);
-}
-
 void EventTracer::complete(const char* name, const char* cat, sim::TimePoint begin,
                            sim::Duration dur, std::uint32_t tid) {
   if (!enabled()) return;
@@ -110,7 +103,7 @@ void EventTracer::complete(const char* name, const char* cat, sim::TimePoint beg
   e.dur_ns = dur.ns();
   e.tid = tid;
   e.ph = TracePhase::kComplete;
-  push(e);
+  ring_.push(e);
 }
 
 void EventTracer::instant(const char* name, const char* cat, std::uint32_t tid) {
@@ -121,7 +114,7 @@ void EventTracer::instant(const char* name, const char* cat, std::uint32_t tid) 
   e.ts_ns = sim_->now().ns();
   e.tid = tid;
   e.ph = TracePhase::kInstant;
-  push(e);
+  ring_.push(e);
 }
 
 void EventTracer::instant_value(const char* name, const char* cat, std::int64_t value,
@@ -135,7 +128,7 @@ void EventTracer::instant_value(const char* name, const char* cat, std::int64_t 
   e.has_value = true;
   e.tid = tid;
   e.ph = TracePhase::kInstant;
-  push(e);
+  ring_.push(e);
 }
 
 void EventTracer::counter(const char* name, const char* cat, std::int64_t value,
@@ -149,14 +142,7 @@ void EventTracer::counter(const char* name, const char* cat, std::int64_t value,
   e.has_value = true;
   e.tid = tid;
   e.ph = TracePhase::kCounter;
-  push(e);
-}
-
-void EventTracer::clear() {
-  sync::MutexLock lock(mu_);
-  ring_.clear();
-  // The intern table survives (pointers are literals or owned_names_,
-  // and ids are only meaningful alongside buffered events, which are gone).
+  ring_.push(e);
 }
 
 namespace {
@@ -172,7 +158,6 @@ void append_us(std::string& out, std::int64_t ns) {
 }  // namespace
 
 std::string EventTracer::export_chrome_json() const {
-  sync::MutexLock lock(mu_);
   std::string out = "{\"traceEvents\":[";
   bool first = true;
   char buf[256];

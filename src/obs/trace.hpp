@@ -31,17 +31,12 @@
 // When the tracer is disabled every emit call is a single predictable
 // branch; ScopedSpan degenerates to storing one null pointer.
 //
-// Thread safety: the ring (codec references, intern table, decode
-// cursor) and the lane names are one capability — a sync::Mutex guards
-// them all, so concurrent producers may emit events and a reader may
-// export while they do. The enabled gate stays a lock-free atomic so a
-// disabled tracer still costs one predictable branch per call site.
-// Note that `now()` reads SIMULATED time: events emitted off the
-// simulation thread should pass an explicit begin time (complete()) —
-// the MPSC front-end's producers never emit, only the consumer does.
+// Threading: the tracer belongs to the simulation thread — `now()`
+// reads SIMULATED time, and only the simulation thread advances it. The
+// MPSC front-end's producers never emit; only its consumer, which runs
+// the simulation, does.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -52,7 +47,6 @@
 #include "obs/delta_ring.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
-#include "sync/sync.hpp"
 
 namespace trail::obs {
 
@@ -75,64 +69,49 @@ class EventTracer {
   /// tracer's life; the oldest event is evicted when a push would exceed it.
   explicit EventTracer(const sim::Simulator& sim, std::size_t capacity = 1 << 16);
 
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  [[nodiscard]] bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  void set_enabled(bool on) { enabled_ = on; }
+  [[nodiscard]] bool enabled() const { return enabled_; }
   [[nodiscard]] sim::TimePoint now() const { return sim_->now(); }
 
   /// Name a presentation lane ("log0", "data1", "wal", ...). Metadata
   /// only; survives clear().
-  void set_track_name(std::uint32_t tid, std::string name) TRAIL_EXCLUDES(mu_);
+  void set_track_name(std::uint32_t tid, std::string name);
 
   /// A tracer-owned copy of `name`, valid for the tracer's lifetime (it
   /// survives clear()), for event names built at run time. Equal strings
   /// return the same pointer.
-  [[nodiscard]] const char* intern_name(std::string_view name) TRAIL_EXCLUDES(mu_);
+  [[nodiscard]] const char* intern_name(std::string_view name);
 
   /// A span [begin, begin+dur), emitted at completion time.
   void complete(const char* name, const char* cat, sim::TimePoint begin, sim::Duration dur,
-                std::uint32_t tid = 0) TRAIL_EXCLUDES(mu_);
-  void instant(const char* name, const char* cat, std::uint32_t tid = 0) TRAIL_EXCLUDES(mu_);
+                std::uint32_t tid = 0);
+  void instant(const char* name, const char* cat, std::uint32_t tid = 0);
   void instant_value(const char* name, const char* cat, std::int64_t value,
-                     std::uint32_t tid = 0) TRAIL_EXCLUDES(mu_);
-  void counter(const char* name, const char* cat, std::int64_t value, std::uint32_t tid = 0)
-      TRAIL_EXCLUDES(mu_);
+                     std::uint32_t tid = 0);
+  void counter(const char* name, const char* cat, std::int64_t value, std::uint32_t tid = 0);
 
   /// Events currently retained (<= capacity).
-  [[nodiscard]] std::size_t size() const TRAIL_EXCLUDES(mu_) {
-    sync::MutexLock lock(mu_);
-    return ring_.size();
-  }
-  [[nodiscard]] std::size_t capacity() const TRAIL_EXCLUDES(mu_) {
-    sync::MutexLock lock(mu_);
-    return ring_.capacity();
-  }
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
   /// Events evicted because the ring was full.
-  [[nodiscard]] std::uint64_t dropped() const TRAIL_EXCLUDES(mu_) {
-    sync::MutexLock lock(mu_);
-    return ring_.dropped();
-  }
+  [[nodiscard]] std::uint64_t dropped() const { return ring_.dropped(); }
   /// Oldest-first event access (i in [0, size()), else std::out_of_range).
   /// Sequential access is O(1) amortized via the ring's decode cursor;
   /// random access decodes forward from the oldest retained event.
-  [[nodiscard]] TraceEvent at(std::size_t i) const TRAIL_EXCLUDES(mu_) {
-    sync::MutexLock lock(mu_);
-    return ring_.at(i);
-  }
+  [[nodiscard]] TraceEvent at(std::size_t i) const { return ring_.at(i); }
 
   /// Bytes currently held by the delta/mask-encoded event stream — the
   /// compression the capture path buys (compare against
   /// size() * sizeof(TraceEvent) for the fixed-slot cost).
-  [[nodiscard]] std::size_t encoded_bytes() const TRAIL_EXCLUDES(mu_) {
-    sync::MutexLock lock(mu_);
-    return ring_.encoded_bytes();
-  }
+  [[nodiscard]] std::size_t encoded_bytes() const { return ring_.encoded_bytes(); }
 
-  void clear() TRAIL_EXCLUDES(mu_);
+  /// Drop the retained events; the intern table and lane names survive.
+  void clear() { ring_.clear(); }
 
   /// Chrome trace-event JSON ({"traceEvents":[...]}), oldest event
   /// first, lane-name metadata first of all. Deterministic: equal event
   /// sequences serialize to equal bytes.
-  [[nodiscard]] std::string export_chrome_json() const TRAIL_EXCLUDES(mu_);
+  [[nodiscard]] std::string export_chrome_json() const;
 
  private:
   /// The event format inside the ring: mask bits, field deltas and the
@@ -157,16 +136,13 @@ class EventTracer {
     std::map<const char*, std::uint32_t> intern_ids;
   };
 
-  void push(const TraceEvent& e) TRAIL_EXCLUDES(mu_);
-
   const sim::Simulator* const sim_;  // set at construction, never reseated
-  std::atomic<bool> enabled_{false};
+  bool enabled_ = false;
 
-  mutable sync::Mutex mu_;  // one capability over the whole codec state
-  DeltaRing<Codec> ring_ TRAIL_GUARDED_BY(mu_);
+  DeltaRing<Codec> ring_;
   /// Storage behind intern_name(); set nodes never move.
-  std::set<std::string, std::less<>> owned_names_ TRAIL_GUARDED_BY(mu_);
-  std::map<std::uint32_t, std::string> track_names_ TRAIL_GUARDED_BY(mu_);
+  std::set<std::string, std::less<>> owned_names_;
+  std::map<std::uint32_t, std::string> track_names_;
 };
 
 /// RAII span for synchronous scopes (recovery phases, bench phases):

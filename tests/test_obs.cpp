@@ -10,6 +10,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/format_tool.hpp"
@@ -25,6 +26,12 @@ namespace trail::obs {
 namespace {
 
 // ---------------------------------------------------------------- metrics
+
+// The cells are plain integers owned by the simulation thread: no
+// atomics, no hand-written copies.
+static_assert(std::is_trivially_copyable_v<Counter>);
+static_assert(std::is_trivially_copyable_v<Gauge>);
+static_assert(std::is_trivially_copyable_v<Histogram>);
 
 TEST(Histogram, SmallValuesAreExact) {
   // Values below kSubCount get one bucket each: recorded percentiles

@@ -1,9 +1,10 @@
 // Wall-clock microbenchmarks (google-benchmark) for the simulation & I/O
 // engine hot paths: event scheduling/cancellation in sim::Simulator, raw
-// sector throughput in disk::SectorStore, and range bookkeeping in
-// core::BufferManager. These paths dominate harness overhead in every
-// paper-reproduction bench, so their trajectory is recorded in
-// BENCH_engine.json (see scripts/run_benches.sh) from PR 2 onward.
+// sector throughput in disk::SectorStore, range bookkeeping in
+// core::BufferManager and the write-back queue of io::IoScheduler. These
+// paths dominate harness overhead in every paper-reproduction bench, so
+// their trajectory is recorded in BENCH_engine.json (see
+// scripts/run_benches.sh) from PR 2 onward.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +19,7 @@
 #include "disk/profile.hpp"
 #include "disk/sector_store.hpp"
 #include "io/block.hpp"
+#include "io/scheduler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
@@ -374,6 +376,41 @@ void BM_WritebackCoalesce(benchmark::State& state) {
   state.counters["wb_coalesce"] = coalesce;
 }
 BENCHMARK(BM_WritebackCoalesce)->Unit(benchmark::kMillisecond);
+
+// One steady-state write-back push plus one CSCAN pop at a fixed queue
+// depth (the argument): scattered single-sector LBAs that never touch, so
+// nothing merges and the depth holds, with the head moving to where each
+// popped write ends. Per-op cost against depth shows how the scheduler's
+// merge lookup and pick scale with the backlog.
+void BM_IoSchedulerDeepQueue(benchmark::State& state) {
+  const auto depth = static_cast<std::uint64_t>(state.range(0));
+  // i -> i * odd (mod 2^20) is a permutation, so no LBA repeats within any
+  // window of 2^20 pushes; spacing by 8 keeps every envelope apart.
+  auto lba_of = [](std::uint64_t i) -> disk::Lba {
+    return ((i * 0x9E3779B1ULL) & ((1ULL << 20) - 1)) * 8;
+  };
+  auto write_back = [](disk::Lba lba) {
+    io::PendingIo io;
+    io.lba = lba;
+    io.count = 1;
+    io.priority = 1;
+    io.ranges.push_back(io::PendingIo::Range{lba, 1, {}, {}, {}, {}});
+    return io;
+  };
+  io::IoScheduler sched(io::Order::kFifo);
+  std::uint64_t i = 0;
+  for (; i < depth; ++i) sched.push(write_back(lba_of(i)));
+  disk::Lba head = 0;
+  for (auto _ : state) {
+    sched.push(write_back(lba_of(i++)));
+    const io::PendingIo io = sched.pop_next(head);
+    head = io.lba + io.count;
+    benchmark::DoNotOptimize(head);
+  }
+  if (sched.size() != depth) state.SkipWithError("queue depth drifted: a write-back merged");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_IoSchedulerDeepQueue)->Arg(64)->Arg(512)->Arg(2048);
 
 // Chrome-trace serialization of a full ring (the export path the trace
 // viewer and CI smoke test exercise).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "audit/check.hpp"
 
@@ -9,13 +10,17 @@ namespace trail::core {
 
 TrackAllocator::TrackAllocator(const disk::Geometry& geometry,
                                std::vector<disk::TrackId> reserved)
-    : geometry_(geometry), reserved_(reserved.begin(), reserved.end()) {
-  for (disk::TrackId t = 0; t < geometry_.track_count(); ++t)
-    if (!reserved_.contains(t)) usable_.push_back(t);
-  if (usable_.size() < 2)
+    : geometry_(geometry), reserved_(std::move(reserved)) {
+  std::sort(reserved_.begin(), reserved_.end());
+  reserved_.erase(std::unique(reserved_.begin(), reserved_.end()), reserved_.end());
+  const auto on_disk = static_cast<std::size_t>(
+      std::lower_bound(reserved_.begin(), reserved_.end(), geometry_.track_count()) -
+      reserved_.begin());
+  usable_count_ = geometry_.track_count() - on_disk;
+  if (usable_count_ < 2)
     throw std::invalid_argument("TrackAllocator: need at least two usable tracks");
-  for (std::size_t i = 0; i < usable_.size(); ++i) usable_index_[usable_[i]] = i;
-  tail_ = usable_.front();
+  tail_ = 0;
+  while (is_reserved(tail_)) ++tail_;
   live_.emplace(tail_, TrackState{std::vector<bool>(geometry_.spt_of_track(tail_), false), 0, 0});
 }
 
@@ -61,9 +66,20 @@ double TrackAllocator::current_utilization() const {
   return static_cast<double>(it->second.used) / static_cast<double>(it->second.occupied.size());
 }
 
+bool TrackAllocator::is_reserved(disk::TrackId track) const {
+  return std::binary_search(reserved_.begin(), reserved_.end(), track);
+}
+
+bool TrackAllocator::is_usable(disk::TrackId track) const {
+  return track < geometry_.track_count() && !is_reserved(track);
+}
+
 disk::TrackId TrackAllocator::next_usable(disk::TrackId t) const {
-  const std::size_t i = usable_index_.at(t);
-  return usable_[(i + 1) % usable_.size()];
+  if (!is_usable(t)) throw std::out_of_range("TrackAllocator: track not usable");
+  const disk::TrackId n = geometry_.track_count();
+  do t = (t + 1) % n;
+  while (is_reserved(t));
+  return t;
 }
 
 std::optional<disk::TrackId> TrackAllocator::advance() {
@@ -114,8 +130,7 @@ void TrackAllocator::adopt_live_track(disk::TrackId track, std::uint32_t used_se
 void TrackAllocator::set_tail_after(disk::TrackId track) { set_tail(next_usable(track)); }
 
 void TrackAllocator::set_tail(disk::TrackId track) {
-  if (!usable_index_.contains(track))
-    throw std::invalid_argument("set_tail: track not usable");
+  if (!is_usable(track)) throw std::invalid_argument("set_tail: track not usable");
   if (live_.contains(track) && live_.at(track).live_records > 0)
     throw std::logic_error("set_tail: track has live records");
   // Drop the pristine initial tail state if unused.
@@ -128,12 +143,12 @@ void TrackAllocator::set_tail(disk::TrackId track) {
 
 void TrackAllocator::audit(audit::Report& report) const {
   audit::Check& check = report.check("alloc.tracks");
-  check.require(usable_index_.contains(tail_), "tail is not a usable track");
+  check.require(is_usable(tail_), "tail is not a usable track");
   check.require(live_.contains(tail_), "tail track has no occupancy state");
   for (const auto& [track, st] : live_) {
     const disk::Lba lba = geometry_.first_lba_of_track(track);
-    check.require(!reserved_.contains(track), "reserved track carries live state", lba);
-    if (!check.require(usable_index_.contains(track), "live state on a non-usable track", lba))
+    check.require(!is_reserved(track), "reserved track carries live state", lba);
+    if (!check.require(is_usable(track), "live state on a non-usable track", lba))
       continue;
     if (!check.require(st.occupied.size() == geometry_.spt_of_track(track),
                        "occupancy bitmap size disagrees with the track geometry", lba))

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "disk/geometry.hpp"
@@ -69,8 +68,8 @@ class TrackAllocator {
   /// Number of tracks carrying at least one live record.
   [[nodiscard]] std::size_t live_track_count() const { return live_.size(); }
 
-  [[nodiscard]] bool is_reserved(disk::TrackId track) const { return reserved_.contains(track); }
-  [[nodiscard]] std::size_t usable_track_count() const { return usable_.size(); }
+  [[nodiscard]] bool is_reserved(disk::TrackId track) const;
+  [[nodiscard]] std::size_t usable_track_count() const { return usable_count_; }
 
   /// Live (uncommitted) records currently accounted to `track`; 0 when
   /// the track carries no live state. Used by cross-layer audits.
@@ -113,13 +112,18 @@ class TrackAllocator {
     std::uint32_t live_records = 0;
   };
 
+  /// On the disk and not reserved: a member of the allocation ring.
+  [[nodiscard]] bool is_usable(disk::TrackId track) const;
+  /// The usable track after usable track `t` in circular physical order.
   [[nodiscard]] disk::TrackId next_usable(disk::TrackId t) const;
   TrackState& state(disk::TrackId track);
 
   const disk::Geometry& geometry_;
-  std::unordered_set<disk::TrackId> reserved_;
-  std::vector<disk::TrackId> usable_;                  // physical order
-  std::unordered_map<disk::TrackId, std::size_t> usable_index_;
+  // A handful of tracks (the replicas), sorted and unique. The ring is
+  // every track of the disk not listed here, so nothing per track is
+  // materialized.
+  std::vector<disk::TrackId> reserved_;
+  std::size_t usable_count_ = 0;
   std::unordered_map<disk::TrackId, TrackState> live_;
   disk::TrackId tail_ = 0;
 

@@ -1,6 +1,7 @@
 #include "io/scheduler.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -59,45 +60,62 @@ PendingIo PendingIo::write(disk::Lba lba, std::span<const std::byte> bytes,
 void IoScheduler::push(PendingIo io) {
   Bucket& bucket = classes_[io.priority];
   if (io.priority >= 1 && try_merge(io, bucket)) return;
-  bucket.push_back(std::move(io));
+  const disk::Lba key_lba = io.priority == 0 && order_ == Order::kFifo ? 0 : io.lba;
+  bucket.max_count = std::max(bucket.max_count, io.count);
+  bucket.index.emplace(Key{key_lba, next_seq_++}, std::move(io));
   ++size_;
 }
 
-bool IoScheduler::try_merge(PendingIo& io, Bucket& bucket) {
-  auto target = std::find_if(bucket.begin(), bucket.end(),
-                             [&](const PendingIo& q) { return mergeable(q, io); });
-  if (target == bucket.end()) return false;
-  merge_into(*target, std::move(io));
-  // Cascade: the grown envelope may now bridge to further queued batches.
-  for (auto it = bucket.begin(); it != bucket.end();) {
-    if (it == target || !mergeable(*target, *it)) {
-      ++it;
-      continue;
-    }
-    merge_into(*target, std::move(*it));
-    bucket.erase(it);
-    --size_;
-    it = bucket.begin();
+IoScheduler::Index::iterator IoScheduler::earliest_mergeable(Bucket& bucket,
+                                                             const PendingIo& io) {
+  // A queued envelope [q.lba, q.lba + q.count) touches [lo, hi) iff
+  // q.lba <= hi and q.lba + q.count >= lo, so walk down from the last key
+  // at or below hi until no envelope can reach lo any more.
+  const disk::Lba lo = io.lba;
+  const disk::Lba hi = io.lba + io.count;
+  auto best = bucket.index.end();
+  for (auto it = bucket.index.upper_bound(Key{hi, UINT64_MAX}); it != bucket.index.begin();) {
+    --it;
+    if (it->first.first + bucket.max_count < lo) break;
+    if (mergeable(it->second, io) &&
+        (best == bucket.index.end() || it->first.second < best->first.second))
+      best = it;
   }
+  return best;
+}
+
+bool IoScheduler::try_merge(PendingIo& io, Bucket& bucket) {
+  auto target = earliest_mergeable(bucket, io);
+  if (target == bucket.index.end()) return false;
+  // Take the target out while it grows; it goes back under its new
+  // envelope LBA and its old seq.
+  auto node = bucket.index.extract(target);
+  PendingIo& batch = node.mapped();
+  merge_into(batch, std::move(io));
+  // Cascade: the grown envelope may now bridge to further queued batches.
+  for (auto it = earliest_mergeable(bucket, batch); it != bucket.index.end();
+       it = earliest_mergeable(bucket, batch)) {
+    merge_into(batch, std::move(it->second));
+    bucket.index.erase(it);
+    --size_;
+  }
+  node.key().first = batch.lba;
+  bucket.max_count = std::max(bucket.max_count, batch.count);
+  bucket.index.insert(std::move(node));
   return true;
 }
 
 PendingIo IoScheduler::pop_next(disk::Lba head_position) {
   auto cls = classes_.begin();
-  while (cls->second.empty()) cls = classes_.erase(cls);
+  while (cls->second.index.empty()) cls = classes_.erase(cls);
   Bucket& bucket = cls->second;
-  Bucket::iterator pick = bucket.begin();  // arrival order: class 0 never merges
-  if (cls->first >= 1 || order_ == Order::kClook) {
-    // CSCAN: the lowest LBA at or beyond the head, else wrap to the lowest.
-    Bucket::iterator ahead = bucket.end();
-    for (auto it = bucket.begin(); it != bucket.end(); ++it) {
-      if (it->lba < pick->lba) pick = it;
-      if (it->lba >= head_position && (ahead == bucket.end() || it->lba < ahead->lba)) ahead = it;
-    }
-    if (ahead != bucket.end()) pick = ahead;
-  }
-  PendingIo io = std::move(*pick);
-  bucket.erase(pick);
+  // CSCAN: the lowest LBA at or beyond the head, else wrap to the lowest;
+  // ties go to the earlier arrival. Every key of a class-0 kFifo bucket
+  // has LBA 0, so there this is the oldest request.
+  auto pick = bucket.index.lower_bound(Key{head_position, 0});
+  if (pick == bucket.index.end()) pick = bucket.index.begin();
+  PendingIo io = std::move(bucket.index.extract(pick).mapped());
+  if (bucket.index.empty()) bucket.max_count = 0;
   --size_;
   return io;
 }

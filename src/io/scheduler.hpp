@@ -10,13 +10,23 @@
 // classes whose adjacent/overlapping queued writes coalesce into one
 // multi-range device command (§4.2), up to kMaxWritebackRanges = 32
 // ranges per command (scheduler.cpp).
+//
+// Each class is one ordered map keyed by (envelope LBA, arrival seq); in
+// a class-0 kFifo bucket the key's LBA is 0, so the map iterates in
+// arrival order. The CSCAN pick is lower_bound({head, 0}), wrapping to
+// begin(): the lowest LBA at or past the head, the earliest arrival on a
+// tie. A merge looks only at keys within the new envelope's reach (a walk
+// back from its end, bounded by the class's largest envelope) and takes
+// the touching batch with the smallest seq. A merged batch keeps its seq,
+// so seq order is queue order: every merge target and pick is the first
+// one in queue order, found in O(log n + batches in reach).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "disk/types.hpp"
@@ -76,10 +86,10 @@ class IoScheduler {
  public:
   explicit IoScheduler(Order order) : order_(order) {}
 
-  /// Queue `io`. A write at class >= 1 first tries to fold into a queued
-  /// batch of its class whose envelope it touches or overlaps, within the
-  /// range cap, cascading while the grown envelope bridges to further
-  /// batches.
+  /// Queue `io`. A write at class >= 1 first tries to fold into the
+  /// earliest-queued batch of its class whose envelope it touches or
+  /// overlaps, within the range cap, cascading while the grown envelope
+  /// bridges to further batches.
   void push(PendingIo io);
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
@@ -89,12 +99,23 @@ class IoScheduler {
   PendingIo pop_next(disk::Lba head_position);
 
  private:
-  using Bucket = std::list<PendingIo>;
+  /// (envelope LBA, arrival seq); the LBA is 0 in a class-0 kFifo bucket.
+  using Key = std::pair<disk::Lba, std::uint64_t>;
+  using Index = std::map<Key, PendingIo>;
+  struct Bucket {
+    Index index;
+    /// Upper bound on the envelope count of every queued write, so a
+    /// merge's walk back from the new envelope's end knows where to stop.
+    std::uint32_t max_count = 0;
+  };
+
   bool try_merge(PendingIo& io, Bucket& bucket);
+  static Index::iterator earliest_mergeable(Bucket& bucket, const PendingIo& io);
 
   Order order_;
   std::map<int, Bucket> classes_;
   std::size_t size_ = 0;
+  std::uint64_t next_seq_ = 0;
 };
 
 }  // namespace trail::io

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/format_tool.hpp"
 #include "core/track_allocator.hpp"
 #include "disk/profile.hpp"
 
@@ -152,6 +155,60 @@ TEST(TrackAllocator, RequiresUsableTracks) {
   std::vector<disk::TrackId> all;
   for (disk::TrackId t = 0; t < p.geometry.track_count(); ++t) all.push_back(t);
   EXPECT_THROW((TrackAllocator{p.geometry, all}), std::invalid_argument);
+  all.erase(all.begin() + 7);
+  EXPECT_THROW((TrackAllocator{p.geometry, all}), std::invalid_argument) << "one usable track";
+  all.erase(all.begin() + 30);
+  TrackAllocator two{p.geometry, all};
+  EXPECT_EQ(two.usable_track_count(), 2u);
+  EXPECT_EQ(two.current(), 7u);
+  EXPECT_EQ(two.advance(), 31u);
+  EXPECT_EQ(two.advance(), 7u);
+}
+
+/// The ring as a materialized list: every track of the disk not in
+/// `reserved`, in physical order.
+std::vector<disk::TrackId> materialized_ring(const disk::Geometry& geometry,
+                                             const std::vector<disk::TrackId>& reserved) {
+  std::vector<disk::TrackId> usable;
+  for (disk::TrackId t = 0; t < geometry.track_count(); ++t)
+    if (std::find(reserved.begin(), reserved.end(), t) == reserved.end()) usable.push_back(t);
+  return usable;
+}
+
+/// Start at the initial tail and advance once per usable track; the walk
+/// must visit `want` in order and then wrap to its first track.
+void expect_ring(const disk::Geometry& geometry, const std::vector<disk::TrackId>& reserved) {
+  const std::vector<disk::TrackId> want = materialized_ring(geometry, reserved);
+  TrackAllocator alloc{geometry, reserved};
+  ASSERT_EQ(alloc.usable_track_count(), want.size());
+  std::vector<disk::TrackId> walked{alloc.current()};
+  for (std::size_t i = 1; i < want.size(); ++i) walked.push_back(alloc.advance().value());
+  EXPECT_EQ(walked, want);
+  EXPECT_EQ(alloc.advance(), want.front()) << "the ring wraps to its first usable track";
+  for (disk::TrackId t = 0; t < geometry.track_count() + 3; ++t) {
+    const bool usable = std::binary_search(want.begin(), want.end(), t);
+    EXPECT_EQ(alloc.is_reserved(t),
+              std::find(reserved.begin(), reserved.end(), t) != reserved.end()) << t;
+    if (!usable) {
+      EXPECT_THROW(alloc.set_tail(t), std::invalid_argument) << t;
+    }
+  }
+}
+
+TEST(TrackAllocator, RingWalkMatchesMaterializedOrderForDefaultLayout) {
+  for (const disk::DiskProfile& p : {disk::small_test_disk(), disk::wd_caviar_10g()}) {
+    SCOPED_TRACE(p.name);
+    expect_ring(p.geometry, LogDiskLayout(p.geometry).reserved_tracks());
+  }
+}
+
+TEST(TrackAllocator, RingWalkMatchesMaterializedOrderForCustomReservedSet) {
+  const disk::DiskProfile p = disk::small_test_disk();  // 80 tracks
+  // Unsorted, with a duplicate, a run at the start, a run in the middle,
+  // the last track and one track past the end of the disk.
+  expect_ring(p.geometry, {7, 0, 5, 79, 1, 6, 5, 200});
+  expect_ring(p.geometry, {78, 79, 0});
+  expect_ring(p.geometry, {});
 }
 
 }  // namespace

@@ -238,10 +238,12 @@ int main(int argc, char** argv) {
                 rebuild_speedup, mount_speedup);
     char blk[512];
     std::snprintf(blk, sizeof(blk),
-                  "  \"pipeline\": {\"q\": 256, \"depth1_rebuild_ms\": %.3f, "
+                  "  \"pipeline\": {\"q\": 256, \"depth1_locate_ms\": %.3f, "
+                  "\"depth8_locate_ms\": %.3f, \"depth1_rebuild_ms\": %.3f, "
                   "\"depth8_rebuild_ms\": %.3f, \"rebuild_speedup\": %.3f, "
                   "\"depth1_mount_ms\": %.3f, \"depth8_mount_ms\": %.3f, "
                   "\"mount_speedup\": %.3f},\n",
+                  d1.stats.locate_time.ms(), d8.stats.locate_time.ms(),
                   d1.stats.rebuild_time.ms(), d8.stats.rebuild_time.ms(), rebuild_speedup,
                   d1.mount_ms, d8.mount_ms, mount_speedup);
     json += blk;

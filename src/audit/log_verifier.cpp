@@ -9,6 +9,7 @@
 #include "core/crc32.hpp"
 #include "core/format_tool.hpp"
 #include "core/log_format.hpp"
+#include "core/track_allocator.hpp"
 
 namespace trail::audit {
 
@@ -74,8 +75,7 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
   }
 
   // ---- full-disk census: first-byte discipline + record collection ----
-  std::set<disk::TrackId> reserved;
-  for (disk::TrackId t : layout.reserved_tracks()) reserved.insert(t);
+  const core::TrackRing ring(geometry.track_count(), layout.reserved_tracks());
   std::set<disk::Lba> metadata_lbas;
   for (int r = 0; r < layout.replica_count(); ++r) {
     metadata_lbas.insert(layout.header_lba(r));
@@ -88,7 +88,7 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
     store.read(lba, 1, sector);
     const disk::TrackId track = geometry.track_of_lba(lba);
 
-    if (reserved.contains(track)) {
+    if (ring.is_reserved(track)) {
       // Reserved tracks hold only the replicated metadata sectors; the
       // format tool wiped everything else.
       if (!metadata_lbas.contains(lba))

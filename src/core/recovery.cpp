@@ -9,6 +9,7 @@
 
 #include "core/crc32.hpp"
 #include "io/device_queue.hpp"
+#include "sim/steps.hpp"
 
 namespace trail::core {
 
@@ -17,33 +18,26 @@ RecoveryManager::RecoveryManager(sim::Simulator& sim, std::vector<disk::DiskDevi
   if (log_disks.empty() || log_disks.size() > kMaxLogUnits)
     throw std::invalid_argument("RecoveryManager: 1..15 log disks required");
   for (disk::DiskDevice* device : log_disks) {
-    Unit unit;
-    unit.device = device;
-    const LogDiskLayout layout(device->geometry());
-    const auto reserved = layout.reserved_tracks();
-    for (disk::TrackId t = 0; t < device->geometry().track_count(); ++t)
-      if (std::find(reserved.begin(), reserved.end(), t) == reserved.end())
-        unit.usable.push_back(t);
-    units_.push_back(std::move(unit));
+    const disk::Geometry& geom = device->geometry();
+    units_.push_back(Unit{device, TrackRing(geom.track_count(),
+                                            LogDiskLayout(geom).reserved_tracks())});
   }
 }
 
 // ---------------------------------------------------------------------------
 // Locate + rebuild pipeline.
 //
-// Reads are submitted through a per-unit C-LOOK DeviceQueue and at most
-// `depth` are kept in flight per unit, so the elevator can order whatever
-// the window holds. Every unit's locate machine runs concurrently, each
-// keeping a sliding window of anchor probes in flight. The rebuild streams
-// the live arc through a track cache: a miss fetches the demanded window
-// plus up to depth-1 ring-backward whole tracks, which C-LOOK serves as
-// one ascending forward sweep — the fast direction — while the chain walk
-// consumes parsed records out of the cache at zero cost. depth == 1 is
-// the same machine with one read in flight and no prefetch.
-// The locate *result* (per-unit youngest key) and the rebuilt chain are
-// depth-invariant: the anchor is defined as the first present probe in
-// grid order regardless of completion order, the bisect is deterministic,
-// and the walk consumes the same sectors.
+// Reads are submitted through a per-unit C-LOOK DeviceQueue. Every unit's
+// locate runs concurrently, and each keeps one track scan in flight, as
+// §3.3's binary search reads one track after another: grid probes until
+// one anchors, then the rotated binary search, or the sequential scan
+// when nothing anchors. The rebuild streams the live arc through a track
+// cache: a miss fetches the demanded window plus up to depth-1
+// ring-backward whole tracks, which C-LOOK serves as one ascending forward
+// sweep — the fast direction — while the chain walk consumes parsed
+// records out of the cache at zero cost. depth == 1 is the same machine
+// with no prefetch. The locate does not depend on depth at all, and the
+// rebuilt chain is depth-invariant: the walk consumes the same sectors.
 // ---------------------------------------------------------------------------
 struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pipe> {
   explicit Pipe(RecoveryManager& mgr) : m(mgr) {}
@@ -62,29 +56,18 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
   // ---- phase 1 state ----
   sim::TimePoint locate_start{};
   std::optional<obs::ScopedSpan> locate_span;
-  struct ProbeResult {
-    TrackKey key;
-    std::size_t idx = 0;
-  };
+  /// One unit's locate. Offsets (lo, hi, slo, shi) count clockwise ring
+  /// positions from the anchor; during the bisect, `result` is the key
+  /// at offset lo.
   struct Loc {
-    enum class Stage { kProbe, kOuter, kGap, kSeq, kDone };
-    Stage stage = Stage::kProbe;
-    std::size_t n = 0;       // usable ring size
-    std::size_t probes = 0;  // anchor grid size
-    std::size_t next_probe = 0;
-    std::size_t probe_done = 0;  // probes [0, probe_done) completed
-    std::map<std::size_t, ProbeResult> probe_results;
-    bool anchored = false;
+    std::uint8_t unit = 0;
+    std::size_t n = 0;     // usable ring size
+    std::size_t next = 0;  // next grid probe, then next sequential-scan index
     std::size_t anchor_idx = 0;
-    TrackKey anchor_key;
-    std::uint32_t unit_inflight = 0;
-    // rotated binary search (outer) + gap bisect
-    std::size_t lo = 0, hi = 0, mid = 0;
-    TrackKey lo_key;
+    TrackKey anchor_key;  // present once a grid probe anchored
+    std::size_t lo = 0, hi = 0;
     std::size_t slo = 0, shi = 0;
     TrackKey slo_key;
-    // sequential scan (ablation / fallback)
-    std::size_t seq_next = 0;
     TrackKey result;
   };
   std::vector<Loc> loc;
@@ -153,20 +136,19 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
     }
   }
 
-  /// Read + parse one full track; hand the newest in-epoch key to `cb`.
-  void scan_async(std::uint8_t u, std::size_t usable_index, std::function<void(TrackKey)> cb) {
+  /// Read + parse the track at ring index `index`; hand the newest
+  /// in-epoch key to `cb`.
+  void scan_async(std::uint8_t u, std::size_t index, std::function<void(TrackKey)> cb) {
     const Unit& un = m.units_[u];
-    const disk::TrackId track = un.usable[usable_index];
+    const disk::TrackId track = un.ring.track_at(index);
     const disk::Geometry& geom = un.device->geometry();
     const std::uint32_t spt = geom.spt_of_track(track);
     const disk::Lba base = geom.first_lba_of_track(track);
     auto buf =
         std::make_shared<std::vector<std::byte>>(static_cast<std::size_t>(spt) * disk::kSectorSize);
-    ++loc[u].unit_inflight;
     std::span<std::byte> out(*buf);
     issue_read(u, base, spt, out, buf,
                [this, u, track, base, spt, buf, cb = std::move(cb)] {
-                 --loc[u].unit_inflight;
                  note_scan(track);
                  TrackKey best;
                  for (std::uint32_t s = 0; s < spt; ++s) {
@@ -186,181 +168,126 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
                });
   }
 
+  /// Scan the track `offset` ring positions clockwise from the anchor.
+  void scan_offset(const Loc& L, std::size_t offset, std::function<void(TrackKey)> cb) {
+    scan_async(L.unit, (L.anchor_idx + offset) % L.n, std::move(cb));
+  }
+
   // ---- phase 1: locate ----
   void start_locate() {
     locate_start = m.sim_.now();
     locate_span.emplace(m.obs_ != nullptr ? &m.obs_->tracer : nullptr, "recovery.locate",
                         "recovery", m.tid_);
-    loc.resize(m.units_.size());
+    loc.resize(m.units_.size());  // never resized again: the chains hold Loc&
     for (std::size_t u = 0; u < loc.size(); ++u) {
-      Loc& L = loc[u];
-      L.n = m.units_[u].usable.size();
-      if (opts.sequential_locate) {
-        outcome.stats.sequential_fallback = true;
-        L.stage = Loc::Stage::kSeq;
-      } else {
-        L.probes = std::min(kAnchorProbes, L.n);
-      }
+      loc[u].unit = static_cast<std::uint8_t>(u);
+      loc[u].n = m.units_[u].ring.size();
     }
-    for (std::size_t u = 0; u < loc.size(); ++u) pump_locate(static_cast<std::uint8_t>(u));
+    for (Loc& L : loc) locate_unit(L);
   }
 
-  void pump_locate(std::uint8_t u) {
-    Loc& L = loc[u];
-    switch (L.stage) {
-      case Loc::Stage::kProbe:
-        while (!L.anchored && L.next_probe < L.probes && L.unit_inflight < depth) {
-          const std::size_t k = L.next_probe++;
-          const std::size_t idx = k * L.n / L.probes;
-          scan_async(u, idx, [this, u, k, idx](TrackKey key) { on_probe(u, k, idx, key); });
-        }
-        if (L.probes == 0 && !L.anchored) {
-          // Degenerate ring: nothing to probe.
-          outcome.stats.sequential_fallback = true;
-          L.stage = Loc::Stage::kSeq;
-          pump_locate(u);
-        }
-        break;
-      case Loc::Stage::kSeq:
-        while (L.seq_next < L.n && L.unit_inflight < depth) {
-          scan_async(u, L.seq_next++, [this, u](TrackKey key) { on_seq(u, key); });
-        }
-        if (L.n == 0) finish_unit(u, TrackKey{});
-        break;
-      case Loc::Stage::kOuter:
-      case Loc::Stage::kGap:
-      case Loc::Stage::kDone:
-        break;  // completion-driven
-    }
+  /// Grid probes until one finds an in-epoch record, then the rotated
+  /// binary search. A short or empty log anchors nowhere and falls back
+  /// to the sequential scan, as does the ablation.
+  void locate_unit(Loc& L) {
+    const std::size_t probes = opts.sequential_locate ? 0 : std::min(kAnchorProbes, L.n);
+    sim::loop_while(
+        [&L, probes] { return !L.anchor_key.present && L.next < probes; },
+        [this, &L, probes](sim::Next next) {
+          const std::size_t idx = L.next++ * L.n / probes;
+          scan_async(L.unit, idx, [&L, idx, next](TrackKey key) {
+            if (key.present) {
+              L.anchor_idx = idx;
+              L.anchor_key = key;
+            }
+            next();
+          });
+        },
+        [this, &L](bool) {
+          if (L.anchor_key.present)
+            bisect(L);
+          else
+            scan_all(L);
+        });
   }
 
-  void on_probe(std::uint8_t u, std::size_t k, std::size_t idx, const TrackKey& key) {
-    Loc& L = loc[u];
-    if (L.anchored) {
-      // A window straggler from beyond the anchor: its scan was already
-      // counted; record the waste and keep draining.
-      if (m.obs_ != nullptr)
-        m.obs_->metrics.counter(m.metric_prefix_ + "recovery.probe_overshoot").inc();
-      if (L.unit_inflight == 0) begin_bisect(u);
-      return;
-    }
-    L.probe_results[k] = ProbeResult{key, idx};
-    // The anchor is the first present probe in *grid* order, independent
-    // of completion order: advance only over a contiguous completed prefix.
-    while (true) {
-      auto it = L.probe_results.find(L.probe_done);
-      if (it == L.probe_results.end()) break;
-      if (!L.anchored && it->second.key.present) {
-        L.anchored = true;
-        L.anchor_idx = it->second.idx;
-        L.anchor_key = it->second.key;
-      }
-      L.probe_results.erase(it);
-      ++L.probe_done;
-    }
-    if (L.anchored) {
-      if (L.unit_inflight == 0) begin_bisect(u);
-      return;
-    }
-    if (L.probe_done == L.probes) {
-      // Short or empty log: fall back to the exhaustive scan.
-      outcome.stats.sequential_fallback = true;
-      L.stage = Loc::Stage::kSeq;
-    }
-    pump_locate(u);
-  }
-
-  void begin_bisect(std::uint8_t u) {
-    Loc& L = loc[u];
-    L.stage = Loc::Stage::kOuter;
+  /// Rotated binary search for the last clockwise offset from the anchor
+  /// whose track key is >= the anchor's.
+  void bisect(Loc& L) {
     L.lo = 0;
-    L.lo_key = L.anchor_key;
+    L.result = L.anchor_key;
     L.hi = L.n;
-    step_outer(u);
+    sim::loop_while(
+        [&L] { return L.hi - L.lo > 1; },
+        [this, &L](sim::Next next) {
+          const std::size_t mid = L.lo + (L.hi - L.lo) / 2;
+          scan_offset(L, mid, [this, &L, mid, next](TrackKey key) {
+            if (key.present) {
+              narrow(L, mid, key);
+              next();
+            } else {
+              bisect_gap(L, mid, next);
+            }
+          });
+        },
+        [this](bool) { finish_unit(); });
   }
 
-  // Rotated binary search for the last clockwise offset from the anchor
-  // whose track key is >= the anchor's, driven by completions.
-  void step_outer(std::uint8_t u) {
-    Loc& L = loc[u];
-    if (L.hi - L.lo <= 1) {
-      finish_unit(u, L.lo_key);
-      return;
-    }
-    L.mid = L.lo + (L.hi - L.lo) / 2;
-    scan_async(u, (L.anchor_idx + L.mid) % L.n,
-               [this, u](TrackKey key) { on_outer(u, key); });
+  /// `mid` was never stamped: bisect for the last stamped offset in
+  /// (lo, mid] — "stamped?" is monotone there (one circular arc) — then
+  /// continue the outer search with `next`.
+  void bisect_gap(Loc& L, std::size_t mid, sim::Next next) {
+    L.slo = L.lo;
+    L.shi = mid;
+    L.slo_key = TrackKey{};
+    sim::loop_while(
+        [&L] { return L.shi - L.slo > 1; },
+        [this, &L](sim::Next step) {
+          const std::size_t pos = L.slo + (L.shi - L.slo) / 2;
+          scan_offset(L, pos, [&L, pos, step](TrackKey key) {
+            if (key.present) {
+              L.slo = pos;
+              L.slo_key = key;
+            } else {
+              L.shi = pos;
+            }
+            step();
+          });
+        },
+        [this, &L, next = std::move(next)](bool) {
+          if (L.slo == L.lo)
+            L.hi = L.lo + 1;  // nothing stamped in (lo, mid]: the arc ends at lo
+          else
+            narrow(L, L.slo, L.slo_key);
+          next();
+        });
   }
 
-  void on_outer(std::uint8_t u, const TrackKey& key) {
-    Loc& L = loc[u];
-    if (!key.present) {
-      // `mid` was never stamped: bisect for the last stamped position in
-      // (lo, mid] — "stamped?" is monotone there (one circular arc).
-      L.stage = Loc::Stage::kGap;
-      L.slo = L.lo;
-      L.shi = L.mid;
-      L.slo_key = TrackKey{};
-      step_gap(u);
-      return;
-    }
-    apply_outer(u, L.mid, key);
-  }
-
-  void step_gap(std::uint8_t u) {
-    Loc& L = loc[u];
-    if (L.shi - L.slo > 1) {
-      const std::size_t mpos = L.slo + (L.shi - L.slo) / 2;
-      scan_async(u, (L.anchor_idx + mpos) % L.n,
-                 [this, u, mpos](TrackKey key) { on_gap(u, mpos, key); });
-      return;
-    }
-    L.stage = Loc::Stage::kOuter;
-    if (L.slo == L.lo) {
-      // Nothing stamped in (lo, mid]: the arc ends at lo.
-      L.hi = L.lo + 1;
-      step_outer(u);
-      return;
-    }
-    apply_outer(u, L.slo, L.slo_key);
-  }
-
-  void on_gap(std::uint8_t u, std::size_t mpos, const TrackKey& key) {
-    Loc& L = loc[u];
-    if (key.present) {
-      L.slo = mpos;
-      L.slo_key = key;
-    } else {
-      L.shi = mpos;
-    }
-    step_gap(u);
-  }
-
-  void apply_outer(std::uint8_t u, std::size_t j, const TrackKey& key) {
-    Loc& L = loc[u];
+  void narrow(Loc& L, std::size_t offset, const TrackKey& key) {
     if (key.key >= L.anchor_key.key) {
-      L.lo = j;
-      L.lo_key = key;
+      L.lo = offset;
+      L.result = key;
     } else {
-      L.hi = j;
+      L.hi = offset;
     }
-    step_outer(u);
   }
 
-  void on_seq(std::uint8_t u, const TrackKey& key) {
-    Loc& L = loc[u];
-    if (key.present && (!L.result.present || key.key > L.result.key)) L.result = key;
-    if (L.seq_next == L.n && L.unit_inflight == 0) {
-      finish_unit(u, L.result);
-      return;
-    }
-    pump_locate(u);
+  /// Every track of the ring in order: the paper's O(N) baseline.
+  void scan_all(Loc& L) {
+    outcome.stats.sequential_fallback = true;
+    L.next = 0;
+    sim::loop_while(
+        [&L] { return L.next < L.n; },
+        [this, &L](sim::Next next) {
+          scan_async(L.unit, L.next++, [&L, next](TrackKey key) {
+            if (key.present && (!L.result.present || key.key > L.result.key)) L.result = key;
+            next();
+          });
+        },
+        [this](bool) { finish_unit(); });
   }
 
-  void finish_unit(std::uint8_t u, const TrackKey& key) {
-    Loc& L = loc[u];
-    L.stage = Loc::Stage::kDone;
-    L.result = key;
+  void finish_unit() {
     if (++loc_units_done == loc.size()) finish_locate();
   }
 
@@ -435,8 +362,13 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
     }
     const std::uint8_t next_unit = log_ptr_unit(hdr.prev_sect);
     if (next_unit >= m.units_.size()) fail("recovery: prev_sect names an unknown log disk");
+    const Unit& next = m.units_[next_unit];
+    const disk::Lba next_lba = log_ptr_lba(hdr.prev_sect);
+    if (next_lba >= next.device->geometry().total_sectors() ||
+        !next.ring.contains(next.device->geometry().track_of_lba(next_lba)))
+      fail("recovery: prev_sect names a sector outside the log ring");
     unit = next_unit;
-    lba = log_ptr_lba(hdr.prev_sect);
+    lba = next_lba;
   }
 
   /// Validate a chain header.
@@ -552,18 +484,14 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
       });
     }
     if (!prefetch) return;
-    // Up to depth-1 ring-backward whole tracks (none at depth 1).
+    // Up to depth-1 ring-backward whole tracks (none at depth 1). The
+    // walk only visits ring tracks: step_record refuses any other prev_sect.
     std::vector<disk::TrackId> batch;
-    const auto pos = std::lower_bound(un.usable.begin(), un.usable.end(), track);
-    if (pos == un.usable.end() || *pos != track) return;  // defensive
-    std::size_t back = static_cast<std::size_t>(pos - un.usable.begin());
-    const std::size_t n = un.usable.size();
-    std::uint32_t issued = 1;
-    while (issued < depth && issued < n) {
-      back = (back + n - 1) % n;
-      const disk::TrackId t = un.usable[back];
-      if (cache.find(std::make_pair(u, t)) == cache.end()) batch.push_back(t);
-      ++issued;
+    const std::size_t n = un.ring.size();
+    const std::size_t pos = un.ring.index_of(track);
+    for (std::size_t back = 1; back < depth && back < n; ++back) {
+      const disk::TrackId t = un.ring.track_at((pos + n - back) % n);
+      if (!cache.contains(std::make_pair(u, t))) batch.push_back(t);
     }
     // Ascending physical order, adjacent tracks fused into one command:
     // the sweep crosses track boundaries on the skew and streams at

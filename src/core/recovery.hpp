@@ -22,15 +22,15 @@
 //     adopt the records as live state and resume service immediately,
 //     since a persistent copy already exists on the log disk.
 //
-// All three phases run as one bounded-depth asynchronous pipeline
-// (DESIGN.md §12). Reads go through a per-unit io::DeviceQueue so the
-// elevator can order the outstanding window: every unit's locate keeps a
-// sliding window of anchor probes in flight, the rebuild streams the live
-// arc out of a read-ahead track cache, and the write-back dispatches
-// deduplicated contiguous runs concurrently. pipeline_depth is only the
-// per-unit window of reads in flight; 1 means one read at a time and no
-// prefetch. Every depth recovers the same pending set and leaves
-// byte-identical images.
+// All three phases run as one asynchronous pipeline (DESIGN.md §12).
+// Reads go through a per-unit io::DeviceQueue so the elevator can order
+// what is outstanding: every unit's locate runs concurrently with one
+// track scan in flight, the rebuild streams the live arc out of a
+// read-ahead track cache, and the write-back dispatches deduplicated
+// contiguous runs concurrently. pipeline_depth bounds only the rebuild's
+// window: its demand read plus up to depth-1 tracks of prefetch; 1 means
+// no prefetch. Every depth locates identically, recovers the same pending
+// set and leaves byte-identical images.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +41,7 @@
 
 #include "core/format_tool.hpp"
 #include "core/log_format.hpp"
+#include "core/track_allocator.hpp"
 #include "disk/disk_device.hpp"
 #include "io/block.hpp"
 #include "obs/obs.hpp"
@@ -90,9 +91,9 @@ class RecoveryManager {
   struct Options {
     /// Force the O(N) sequential locate instead of binary search (ablation).
     bool sequential_locate = false;
-    /// Bounded in-flight read window per log unit: the anchor-probe
-    /// window, and the rebuild's demand read plus up to depth-1
-    /// ring-backward whole tracks of prefetch. 1 = one read at a time.
+    /// The rebuild's read window per log unit: its demand read plus up
+    /// to depth-1 ring-backward whole tracks of prefetch. 1 = no
+    /// prefetch. Locate keeps one read in flight per unit at any depth.
     std::uint32_t pipeline_depth = 8;
   };
 
@@ -144,7 +145,7 @@ class RecoveryManager {
  private:
   struct Unit {
     disk::DiskDevice* device = nullptr;
-    std::vector<disk::TrackId> usable;  // ring, physical order (ascending)
+    TrackRing ring;
   };
   struct TrackKey {
     bool present = false;

@@ -8,19 +8,52 @@
 
 namespace trail::core {
 
-TrackAllocator::TrackAllocator(const disk::Geometry& geometry,
-                               std::vector<disk::TrackId> reserved)
-    : geometry_(geometry), reserved_(std::move(reserved)) {
+TrackRing::TrackRing(disk::TrackId track_count, std::vector<disk::TrackId> reserved)
+    : track_count_(track_count), reserved_(std::move(reserved)) {
   std::sort(reserved_.begin(), reserved_.end());
   reserved_.erase(std::unique(reserved_.begin(), reserved_.end()), reserved_.end());
-  const auto on_disk = static_cast<std::size_t>(
-      std::lower_bound(reserved_.begin(), reserved_.end(), geometry_.track_count()) -
-      reserved_.begin());
-  usable_count_ = geometry_.track_count() - on_disk;
-  if (usable_count_ < 2)
+  reserved_.erase(std::lower_bound(reserved_.begin(), reserved_.end(), track_count_),
+                  reserved_.end());
+}
+
+bool TrackRing::is_reserved(disk::TrackId track) const {
+  return std::binary_search(reserved_.begin(), reserved_.end(), track);
+}
+
+bool TrackRing::contains(disk::TrackId track) const {
+  return track < track_count_ && !is_reserved(track);
+}
+
+disk::TrackId TrackRing::track_at(std::size_t index) const {
+  // Step past every reserved track at or below the candidate.
+  auto track = static_cast<disk::TrackId>(index);
+  for (const disk::TrackId r : reserved_) {
+    if (r > track) break;
+    ++track;
+  }
+  return track;
+}
+
+std::size_t TrackRing::index_of(disk::TrackId track) const {
+  if (!contains(track)) throw std::out_of_range("TrackRing: track not on the ring");
+  return track - static_cast<std::size_t>(
+                     std::lower_bound(reserved_.begin(), reserved_.end(), track) -
+                     reserved_.begin());
+}
+
+disk::TrackId TrackRing::next(disk::TrackId track) const {
+  if (!contains(track)) throw std::out_of_range("TrackRing: track not on the ring");
+  do track = (track + 1) % track_count_;
+  while (is_reserved(track));
+  return track;
+}
+
+TrackAllocator::TrackAllocator(const disk::Geometry& geometry,
+                               std::vector<disk::TrackId> reserved)
+    : geometry_(geometry), ring_(geometry.track_count(), std::move(reserved)) {
+  if (ring_.size() < 2)
     throw std::invalid_argument("TrackAllocator: need at least two usable tracks");
-  tail_ = 0;
-  while (is_reserved(tail_)) ++tail_;
+  tail_ = ring_.track_at(0);
   live_.emplace(tail_, TrackState{std::vector<bool>(geometry_.spt_of_track(tail_), false), 0, 0});
 }
 
@@ -66,24 +99,8 @@ double TrackAllocator::current_utilization() const {
   return static_cast<double>(it->second.used) / static_cast<double>(it->second.occupied.size());
 }
 
-bool TrackAllocator::is_reserved(disk::TrackId track) const {
-  return std::binary_search(reserved_.begin(), reserved_.end(), track);
-}
-
-bool TrackAllocator::is_usable(disk::TrackId track) const {
-  return track < geometry_.track_count() && !is_reserved(track);
-}
-
-disk::TrackId TrackAllocator::next_usable(disk::TrackId t) const {
-  if (!is_usable(t)) throw std::out_of_range("TrackAllocator: track not usable");
-  const disk::TrackId n = geometry_.track_count();
-  do t = (t + 1) % n;
-  while (is_reserved(t));
-  return t;
-}
-
 std::optional<disk::TrackId> TrackAllocator::advance() {
-  const disk::TrackId next = next_usable(tail_);
+  const disk::TrackId next = ring_.next(tail_);
   if (live_.contains(next)) return std::nullopt;  // ring exhausted: log full
 
   // Retire the current tail's statistics; free it right away if all its
@@ -127,10 +144,10 @@ void TrackAllocator::adopt_live_track(disk::TrackId track, std::uint32_t used_se
   live_[track] = std::move(st);
 }
 
-void TrackAllocator::set_tail_after(disk::TrackId track) { set_tail(next_usable(track)); }
+void TrackAllocator::set_tail_after(disk::TrackId track) { set_tail(ring_.next(track)); }
 
 void TrackAllocator::set_tail(disk::TrackId track) {
-  if (!is_usable(track)) throw std::invalid_argument("set_tail: track not usable");
+  if (!ring_.contains(track)) throw std::invalid_argument("set_tail: track not usable");
   if (live_.contains(track) && live_.at(track).live_records > 0)
     throw std::logic_error("set_tail: track has live records");
   // Drop the pristine initial tail state if unused.
@@ -143,12 +160,12 @@ void TrackAllocator::set_tail(disk::TrackId track) {
 
 void TrackAllocator::audit(audit::Report& report) const {
   audit::Check& check = report.check("alloc.tracks");
-  check.require(is_usable(tail_), "tail is not a usable track");
+  check.require(ring_.contains(tail_), "tail is not a usable track");
   check.require(live_.contains(tail_), "tail track has no occupancy state");
   for (const auto& [track, st] : live_) {
     const disk::Lba lba = geometry_.first_lba_of_track(track);
     check.require(!is_reserved(track), "reserved track carries live state", lba);
-    if (!check.require(is_usable(track), "live state on a non-usable track", lba))
+    if (!check.require(ring_.contains(track), "live state on a non-usable track", lba))
       continue;
     if (!check.require(st.occupied.size() == geometry_.spt_of_track(track),
                        "occupancy bitmap size disagrees with the track geometry", lba))

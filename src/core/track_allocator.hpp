@@ -24,6 +24,35 @@ class Report;
 
 namespace trail::core {
 
+/// The allocation ring: every track of the disk except a handful of
+/// reserved ones (the disk header replicas), in physical order. Ring
+/// index i names the i-th usable track. Only the sorted reserved list is
+/// stored, so nothing per track is materialized; the allocator, recovery
+/// and the log verifier all map tracks through this one rule.
+class TrackRing {
+ public:
+  /// `reserved` may be unsorted and hold duplicates or tracks past the
+  /// end of the disk; those are dropped.
+  TrackRing(disk::TrackId track_count, std::vector<disk::TrackId> reserved);
+
+  /// Number of usable tracks.
+  [[nodiscard]] std::size_t size() const { return track_count_ - reserved_.size(); }
+  [[nodiscard]] bool is_reserved(disk::TrackId track) const;
+  /// On the disk and not reserved: a member of the ring.
+  [[nodiscard]] bool contains(disk::TrackId track) const;
+  /// The usable track at ring index `index` (< size()).
+  [[nodiscard]] disk::TrackId track_at(std::size_t index) const;
+  /// Ring index of `track`; throws unless contains(track).
+  [[nodiscard]] std::size_t index_of(disk::TrackId track) const;
+  /// The usable track after `track` in circular order; throws unless
+  /// contains(track).
+  [[nodiscard]] disk::TrackId next(disk::TrackId track) const;
+
+ private:
+  disk::TrackId track_count_;
+  std::vector<disk::TrackId> reserved_;  // sorted, unique, on the disk
+};
+
 class TrackAllocator {
  public:
   /// `reserved` tracks (disk header, geometry block, replicas) are never
@@ -68,8 +97,9 @@ class TrackAllocator {
   /// Number of tracks carrying at least one live record.
   [[nodiscard]] std::size_t live_track_count() const { return live_.size(); }
 
-  [[nodiscard]] bool is_reserved(disk::TrackId track) const;
-  [[nodiscard]] std::size_t usable_track_count() const { return usable_count_; }
+  [[nodiscard]] const TrackRing& ring() const { return ring_; }
+  [[nodiscard]] bool is_reserved(disk::TrackId track) const { return ring_.is_reserved(track); }
+  [[nodiscard]] std::size_t usable_track_count() const { return ring_.size(); }
 
   /// Live (uncommitted) records currently accounted to `track`; 0 when
   /// the track carries no live state. Used by cross-layer audits.
@@ -112,18 +142,10 @@ class TrackAllocator {
     std::uint32_t live_records = 0;
   };
 
-  /// On the disk and not reserved: a member of the allocation ring.
-  [[nodiscard]] bool is_usable(disk::TrackId track) const;
-  /// The usable track after usable track `t` in circular physical order.
-  [[nodiscard]] disk::TrackId next_usable(disk::TrackId t) const;
   TrackState& state(disk::TrackId track);
 
   const disk::Geometry& geometry_;
-  // A handful of tracks (the replicas), sorted and unique. The ring is
-  // every track of the disk not listed here, so nothing per track is
-  // materialized.
-  std::vector<disk::TrackId> reserved_;
-  std::size_t usable_count_ = 0;
+  TrackRing ring_;
   std::unordered_map<disk::TrackId, TrackState> live_;
   disk::TrackId tail_ = 0;
 

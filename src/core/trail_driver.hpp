@@ -74,11 +74,11 @@ struct TrailConfig {
   bool recovery_write_back = true;
   /// Force the O(N) sequential locate during recovery (ablation).
   bool recovery_sequential_locate = false;
-  /// Bounded in-flight read window per log unit during recovery
-  /// (RecoveryManager::Options::pipeline_depth): locate probes and
-  /// rebuild reads in flight, including up to depth-1 tracks of
-  /// prefetch. 1 = one read at a time, no prefetch; every depth runs the
-  /// same pipeline and recovers the same state.
+  /// Recovery's rebuild window per log unit
+  /// (RecoveryManager::Options::pipeline_depth): the demand read plus up
+  /// to depth-1 tracks of prefetch. 1 = no prefetch. Locate reads one
+  /// track at a time per unit at any depth; every depth recovers the
+  /// same state.
   std::uint32_t recovery_pipeline_depth = 8;
   /// External global-sequence source (sharding): when set, record
   /// sequence ids come from this callback instead of the driver's own

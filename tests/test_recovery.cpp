@@ -178,6 +178,51 @@ TEST_F(RecoveryTest, BinarySearchScansFewTracksOnWrappedLog) {
   verify_all_acknowledged_durable();
 }
 
+TEST_F(RecoveryTest, PrevSectOutsideTheLogRingIsRefused) {
+  start();
+  write_pending(4, 700, 2);
+  driver->crash();
+  driver.reset();
+  audit::LogImage image;
+  (void)audit::verify_log(*log_disk, {}, &image);
+  ASSERT_FALSE(image.records.empty());
+  const audit::ParsedRecord& youngest = image.records.back();
+  const disk::Geometry& geom = log_disk->geometry();
+  // A newer record with a valid header CRC on the next (blank) ring
+  // track, so locate finds it as the youngest and the walk follows its
+  // prev_sect first.
+  const core::LogDiskLayout layout(geom);
+  const core::TrackRing ring(geom.track_count(), layout.reserved_tracks());
+  const disk::Lba lba =
+      geom.first_lba_of_track(ring.next(geom.track_of_lba(youngest.header_lba)));
+  ASSERT_FALSE(log_disk->store().is_written(lba));
+  const disk::Lba past_end = geom.total_sectors() + 5;
+  const disk::Lba replica = layout.header_lba(1);
+  ASSERT_TRUE(ring.is_reserved(geom.track_of_lba(replica)));
+  for (const disk::Lba bad : {past_end, replica}) {
+    SCOPED_TRACE(bad);
+    core::RecordHeader rogue = youngest.header;
+    rogue.sequence_id += 1;
+    rogue.prev_sect = core::encode_log_ptr(0, static_cast<std::uint32_t>(bad));
+    for (std::uint32_t i = 0; i < rogue.batch_size; ++i)
+      rogue.entries[i].log_lba = static_cast<std::uint32_t>(lba + 1 + i);
+    disk::SectorBuf sector{};
+    core::serialize_record_header(rogue, sector);
+    log_disk->store().write(lba, 1, sector);
+
+    log_disk->restart();
+    for (auto& d : data_disks) d->restart();
+    core::TrailDriver fresh(sim, *log_disk);
+    for (auto& d : data_disks) (void)fresh.add_data_disk(*d);
+    try {
+      fresh.mount();
+      ADD_FAILURE() << "mount followed a prev_sect outside the log ring";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "recovery: prev_sect names a sector outside the log ring");
+    }
+  }
+}
+
 TEST_F(RecoveryTest, RecoveryStatsPhasesAreTimed) {
   start();
   write_pending(12, 4000, 2);
@@ -508,6 +553,9 @@ void expect_equivalent(const EquivOutcome& d1, const EquivOutcome& d8, bool writ
     else
       EXPECT_EQ(out->live_keys, out->acked_keys);
   }
+  // Locate reads one track at a time per unit whatever the depth.
+  EXPECT_EQ(d1.stats.tracks_scanned, d8.stats.tracks_scanned);
+  EXPECT_EQ(d1.stats.locate_time, d8.stats.locate_time);
   EXPECT_EQ(d1.stats.records_dropped_torn, d8.stats.records_dropped_torn);
   EXPECT_EQ(d1.stats.oldest_torn_key, d8.stats.oldest_torn_key);
   EXPECT_EQ(d1.stats.sectors_written_back, d8.stats.sectors_written_back);

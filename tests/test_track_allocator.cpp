@@ -185,12 +185,21 @@ void expect_ring(const disk::Geometry& geometry, const std::vector<disk::TrackId
   for (std::size_t i = 1; i < want.size(); ++i) walked.push_back(alloc.advance().value());
   EXPECT_EQ(walked, want);
   EXPECT_EQ(alloc.advance(), want.front()) << "the ring wraps to its first usable track";
+  // The index <-> track mapping recovery's binary search uses.
+  const TrackRing& ring = alloc.ring();
+  ASSERT_EQ(ring.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(ring.track_at(i), want[i]) << i;
+    EXPECT_EQ(ring.index_of(want[i]), i) << want[i];
+  }
   for (disk::TrackId t = 0; t < geometry.track_count() + 3; ++t) {
     const bool usable = std::binary_search(want.begin(), want.end(), t);
     EXPECT_EQ(alloc.is_reserved(t),
               std::find(reserved.begin(), reserved.end(), t) != reserved.end()) << t;
+    EXPECT_EQ(ring.contains(t), usable) << t;
     if (!usable) {
       EXPECT_THROW(alloc.set_tail(t), std::invalid_argument) << t;
+      EXPECT_THROW((void)ring.index_of(t), std::out_of_range) << t;
     }
   }
 }

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
+#include "sim/steps.hpp"
 
 namespace trail::bench {
 
@@ -150,56 +150,42 @@ struct SyncWriteWorkload {
         sim::Rng rng;
         std::uint32_t issued = 0;
         std::vector<std::byte> data;
-        std::function<void()> next;
       };
       auto st = std::make_shared<Proc>();
       st->rng = seeder.split();
       st->data.assign(static_cast<std::size_t>(p.write_sectors) * disk::kSectorSize,
                       std::byte{0x5A});
-      st->next = [st, &sim, &driver, &devices, device_sectors, p, latencies, remaining,
-                  timing] {
-        if (st->issued >= p.writes_per_process + p.warmup_per_process) {
-          st->next = nullptr;  // we run as a copy; breaking the cycle is safe
-          --*remaining;
-          return;
-        }
-        const bool measured = st->issued >= p.warmup_per_process;
-        ++st->issued;
-        const auto dev = devices[static_cast<std::size_t>(
-            st->rng.uniform(0, static_cast<std::int64_t>(devices.size()) - 1))];
-        const auto lba = static_cast<disk::Lba>(st->rng.uniform(
-            0, static_cast<std::int64_t>(device_sectors - p.write_sectors - 1)));
-        const sim::TimePoint t0 = sim.now();
-        if (measured && timing != nullptr && !timing->started) {
-          timing->started = true;
-          timing->first_measured_submit = t0;
-        }
-        driver.submit_write(
-            io::BlockAddr{dev, lba}, p.write_sectors, st->data,
-            [st, &sim, p, latencies, measured, t0, timing] {
-              if (measured) {
-                latencies->record(sim.now() - t0);
-                if (timing != nullptr) {
-                  ++timing->measured_acks;
-                  timing->last_measured_ack = sim.now();
-                }
-              }
-              if (!st->next) return;
-              if (p.clustered) {
-                auto go = st->next;
-                go();
-              } else {
-                sim.schedule(p.sparse_gap, [st] {
-                  if (st->next) {
-                    auto go = st->next;
-                    go();
+      sim::loop_while(
+          [st, p] { return st->issued < p.writes_per_process + p.warmup_per_process; },
+          [st, &sim, &driver, &devices, device_sectors, p, latencies, timing](sim::Next next) {
+            const bool measured = st->issued >= p.warmup_per_process;
+            ++st->issued;
+            const auto dev = devices[static_cast<std::size_t>(
+                st->rng.uniform(0, static_cast<std::int64_t>(devices.size()) - 1))];
+            const auto lba = static_cast<disk::Lba>(st->rng.uniform(
+                0, static_cast<std::int64_t>(device_sectors - p.write_sectors - 1)));
+            const sim::TimePoint t0 = sim.now();
+            if (measured && timing != nullptr && !timing->started) {
+              timing->started = true;
+              timing->first_measured_submit = t0;
+            }
+            driver.submit_write(
+                io::BlockAddr{dev, lba}, p.write_sectors, st->data,
+                [&sim, p, latencies, measured, t0, timing, next = std::move(next)] {
+                  if (measured) {
+                    latencies->record(sim.now() - t0);
+                    if (timing != nullptr) {
+                      ++timing->measured_acks;
+                      timing->last_measured_ack = sim.now();
+                    }
                   }
+                  if (p.clustered)
+                    next();
+                  else
+                    sim.schedule(p.sparse_gap, [next] { next(); });
                 });
-              }
-            });
-      };
-      auto kick = st->next;
-      kick();
+          },
+          [remaining](bool) { --*remaining; });
     }
     while (*remaining > 0) {
       if (!sim.step()) throw std::runtime_error("SyncWriteWorkload: stalled");

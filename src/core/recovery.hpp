@@ -1,6 +1,7 @@
 // Crash recovery (§3.3, Fig. 4).
 //
-// Three phases, each timed separately for the Fig. 4 breakdown:
+// Three phases, each timed separately for the Fig. 4 breakdown. The
+// RecoveryManager runs the first two:
 //
 //  1. LOCATE the youngest active write record: per-track scans driven by
 //     a binary search over each log disk's circular track ring. FIFO
@@ -18,16 +19,17 @@
 //     final physical writes) are dropped.
 //
 //  3. WRITE BACK pending records to the data disks: the newest content
-//     of every sector, once. Optional (Fig. 4b): the driver may instead
-//     adopt the records as live state and resume service immediately,
-//     since a persistent copy already exists on the log disk.
+//     of every sector, once. This phase belongs to the mounting
+//     TrailDriver, which adopts the records as live state on its own
+//     write-back path and, by default, waits for them to drain before
+//     resuming. Optional (Fig. 4b): it may instead resume service at
+//     once, since a persistent copy already exists on the log disk.
 //
-// All three phases run as one asynchronous pipeline (DESIGN.md §12).
+// Locate and rebuild run as one asynchronous pipeline (DESIGN.md §12).
 // Reads go through a per-unit io::DeviceQueue so the elevator can order
 // what is outstanding: every unit's locate runs concurrently with one
-// track scan in flight, the rebuild streams the live arc out of a
-// read-ahead track cache, and the write-back dispatches deduplicated
-// contiguous runs concurrently. pipeline_depth bounds only the rebuild's
+// track scan in flight, and the rebuild streams the live arc out of a
+// read-ahead track cache. pipeline_depth bounds only the rebuild's
 // window: its demand read plus up to depth-1 tracks of prefetch; 1 means
 // no prefetch. Every depth locates identically, recovers the same pending
 // set and leaves byte-identical images.
@@ -43,7 +45,6 @@
 #include "core/log_format.hpp"
 #include "core/track_allocator.hpp"
 #include "disk/disk_device.hpp"
-#include "io/block.hpp"
 #include "obs/obs.hpp"
 #include "sim/simulator.hpp"
 
@@ -79,6 +80,8 @@ struct RecoveryStats {
   /// consistency cut (mount_finish_async's cut_before). Always 0 for a
   /// standalone driver.
   std::uint32_t records_cut = 0;
+  /// Phase 3, filled in by the mounting driver when it writes back:
+  /// adoption to drain, and the distinct data sectors written.
   sim::Duration writeback_time;
   std::uint64_t sectors_written_back = 0;
 };
@@ -97,19 +100,14 @@ class RecoveryManager {
     std::uint32_t pipeline_depth = 8;
   };
 
-  /// Writes one payload run to a data disk; invoke the completion when
-  /// durable. Bound to the data-disk device queues by the driver.
-  using DataWriteFn = std::function<void(io::DeviceId, disk::Lba, std::span<const std::byte>,
-                                         std::function<void()>)>;
-
   RecoveryManager(sim::Simulator& sim, std::vector<disk::DiskDevice*> log_disks);
   ~RecoveryManager();
 
   /// Optional observability: per-phase spans ("recovery.locate" /
-  /// "recovery.rebuild" / "recovery.writeback"), a per-track-scan probe
-  /// instant, and track/record counters on the recovery lane. The prefix
-  /// and lane let a sharded mount scope each shard's recovery (prefix
-  /// "shard.k.", a lane inside the shard's tid block).
+  /// "recovery.rebuild"), a per-track-scan probe instant, and
+  /// track/record counters on the recovery lane. The prefix and lane let
+  /// a sharded mount scope each shard's recovery (prefix "shard.k.", a
+  /// lane inside the shard's tid block).
   void attach_obs(obs::Obs* obs, std::string metric_prefix = "",
                   std::uint32_t tid = obs::kRecoveryTid) {
     obs_ = obs;
@@ -133,15 +131,6 @@ class RecoveryManager {
   void start(std::uint32_t target_epoch, const Options& options,
              std::function<void(Outcome)> done);
 
-  /// Phase 3, accumulating into `stats`: the records collapse into a
-  /// newest-content overlay (each sector written once) and the resulting
-  /// contiguous runs dispatch concurrently through `data_write`. Separate
-  /// from start() so a mount can apply a cross-shard consistency cut
-  /// first, or adopt the records instead (Fig. 4b). `pending` and `stats`
-  /// must stay alive until `done` fires.
-  void write_back_async(const std::vector<RecoveredRecord>* pending, RecoveryStats* stats,
-                        DataWriteFn data_write, std::function<void()> done);
-
  private:
   struct Unit {
     disk::DiskDevice* device = nullptr;
@@ -153,8 +142,7 @@ class RecoveryManager {
     std::uint8_t unit = 0;
     disk::Lba header_lba = 0;
   };
-  struct Pipe;     // the locate + rebuild pipeline (defined in recovery.cpp)
-  struct WbState;  // the write-back pipeline
+  struct Pipe;  // the locate + rebuild pipeline (defined in recovery.cpp)
 
   sim::Simulator& sim_;
   std::vector<Unit> units_;
@@ -162,7 +150,6 @@ class RecoveryManager {
   std::string metric_prefix_;
   std::uint32_t tid_ = obs::kRecoveryTid;
   std::shared_ptr<Pipe> pipe_;
-  std::shared_ptr<WbState> wb_;
   /// Read queues for the locate/rebuild pipeline. Owned here, not by the
   /// Pipe: a queue completion may release the last Pipe reference while
   /// the queue's pump() is still on the stack, so the queue must outlive

@@ -150,9 +150,11 @@ void TrackAllocator::set_tail(disk::TrackId track) {
   if (!ring_.contains(track)) throw std::invalid_argument("set_tail: track not usable");
   if (live_.contains(track) && live_.at(track).live_records > 0)
     throw std::logic_error("set_tail: track has live records");
-  // Drop the pristine initial tail state if unused.
+  // Drop the old tail's state once it carries no live records: the
+  // pristine initial tail, or an adopted track whose records have since
+  // been written back.
   auto it = live_.find(tail_);
-  if (it != live_.end() && it->second.used == 0 && it->second.live_records == 0) live_.erase(it);
+  if (it != live_.end() && it->second.live_records == 0) live_.erase(it);
   live_.erase(track);  // settled leftover state, if any
   tail_ = track;
   live_.emplace(tail_, TrackState{std::vector<bool>(geometry_.spt_of_track(tail_), false), 0, 0});

@@ -256,39 +256,40 @@ void TrailDriver::mount_finish_async(MountPrep prep, std::uint32_t epoch_floor,
       }
     }
   }
-  steps.then([this, st, resume](sim::Next next) {
-    if (!st->kept.empty()) {
-      // Chain the global prev pointer after the youngest kept record.
-      const RecoveredRecord& youngest = st->kept.back();
-      last_record_ptr_ =
-          encode_log_ptr(youngest.log_unit, static_cast<std::uint32_t>(youngest.header_lba));
-      if (config_.recovery_write_back) {
-        // Deferred recovery phase 3 for the surviving block records, on
-        // the manager mount_begin_async's locate + rebuild ran on.
-        recovery_->write_back_async(&st->kept, &last_recovery_, make_recovery_data_write(),
-                                    resume(std::move(next)));
-        return;
-      }
+  steps.then([this, st](sim::Next next) {
+    if (st->kept.empty()) {
+      next();
+      return;
     }
-    next();
+    // Chain the global prev pointer after the youngest kept record.
+    const RecoveredRecord& youngest = st->kept.back();
+    last_record_ptr_ =
+        encode_log_ptr(youngest.log_unit, static_cast<std::uint32_t>(youngest.header_lba));
+    // Direct-log records stay live until the client releases them; it
+    // replays from a copy.
+    for (const RecoveredRecord& rec : st->kept)
+      if (rec.header.entries[0].data_major == kDirectLogMajor) recovered_direct_.push_back(rec);
+    // The survivors become live state on the driver's own write-back
+    // path. Adopting (Fig. 4b), service resumes while it drains them;
+    // writing back (phase 3), the mount waits for the drain.
+    const sim::TimePoint wb_start = sim_.now();
+    const bool traced = obs_ != nullptr && obs_->tracer.enabled();
+    const std::uint64_t sectors = adopt_recovered(std::move(st->kept));
+    if (!config_.recovery_write_back) {
+      next();
+      return;
+    }
+    last_recovery_.sectors_written_back += sectors;
+    on_writeback_drained_ = [this, wb_start, traced, next = std::move(next)] {
+      last_recovery_.writeback_time += sim_.now() - wb_start;
+      if (traced)
+        obs_->tracer.complete("recovery.writeback", "recovery", wb_start, sim_.now() - wb_start,
+                              lanes_.recovery_tid);
+      next();
+    };
+    if (buffers_->pending_records() == 0) std::exchange(on_writeback_drained_, {})();
   });
   steps.then([this, st, epoch_floor](sim::Next next) {
-    if (!st->kept.empty()) {
-      // Direct-log records are always adopted (the client replays from
-      // them and later releases); block records follow the policy.
-      std::vector<RecoveredRecord> adopt;
-      for (RecoveredRecord& rec : st->kept) {
-        const bool direct = rec.header.entries[0].data_major == kDirectLogMajor;
-        if (direct) {
-          recovered_direct_.push_back(rec);  // keep a copy for the client
-          adopt.push_back(std::move(rec));
-        } else if (!config_.recovery_write_back) {
-          adopt.push_back(std::move(rec));
-        }
-      }
-      if (!adopt.empty()) adopt_recovered(std::move(adopt));
-    }
-
     epoch_ = std::max(st->prep.max_epoch, epoch_floor) + 1;
     next_seq_ = 1;
 
@@ -335,16 +336,6 @@ void TrailDriver::mount_finish_async(MountPrep prep, std::uint32_t epoch_floor,
 #endif
     done();
   });
-}
-
-RecoveryManager::DataWriteFn TrailDriver::make_recovery_data_write() {
-  // Single-range priority-1 batches, so the write-back scheduler coalesces
-  // adjacent recovery runs into one device command and CSCAN-orders the
-  // sweep across the platter.
-  return [this](io::DeviceId dev, disk::Lba lba, std::span<const std::byte> data,
-                std::function<void()> done) {
-    data_queue(dev).submit(io::PendingIo::write(lba, data, std::move(done), /*priority=*/1));
-  };
 }
 
 void TrailDriver::run_audit(audit::Report& report, bool quiescent) const {
@@ -531,11 +522,12 @@ void TrailDriver::crash() {
   for (disk::DiskDevice* d : data_disks_) d->crash_halt();
 }
 
-void TrailDriver::adopt_recovered(std::vector<RecoveredRecord> records) {
+std::uint64_t TrailDriver::adopt_recovered(std::vector<RecoveredRecord> records) {
   // Records arrive in ascending key order. Re-create the live in-memory
   // state exactly as it was after their log writes completed, so the
-  // normal write-back machinery drains them in the background (Fig. 4b's
-  // "resume immediately after the second stage").
+  // normal write-back machinery drains them: before the mount resumes
+  // (phase 3), or in the background (Fig. 4b's "resume immediately after
+  // the second stage").
   std::map<std::pair<std::uint8_t, disk::TrackId>, std::pair<std::uint32_t, std::uint32_t>>
       per_track;  // (unit, track) -> (used, records)
   for (const RecoveredRecord& rec : records) {
@@ -546,6 +538,13 @@ void TrailDriver::adopt_recovered(std::vector<RecoveredRecord> records) {
   for (const auto& [key, counts] : per_track)
     units_.at(key.first).allocator->adopt_live_track(key.second, counts.first, counts.second);
 
+  struct Extent {
+    io::DeviceId dev;
+    disk::Lba lba = 0;
+    disk::Lba end = 0;
+    auto operator<=>(const Extent&) const = default;
+  };
+  std::vector<Extent> extents;
   for (const RecoveredRecord& rec : records) {
     const std::uint64_t key = record_key(rec.header);
     const bool direct = rec.header.entries[0].data_major == kDirectLogMajor;
@@ -556,7 +555,7 @@ void TrailDriver::adopt_recovered(std::vector<RecoveredRecord> records) {
       continue;  // no write-back: the client releases it explicitly
     }
     live_records_[key] = live;
-    // Register contiguous per-device runs and queue their write-backs.
+    // Register contiguous per-device runs.
     std::uint32_t i = 0;
     while (i < rec.header.batch_size) {
       const RecordEntry& e0 = rec.header.entries[i];
@@ -573,11 +572,27 @@ void TrailDriver::adopt_recovered(std::vector<RecoveredRecord> records) {
           rec.payload.data() + static_cast<std::size_t>(i) * disk::kSectorSize,
           static_cast<std::size_t>(j - i) * disk::kSectorSize);
       buffers_->register_write(key, dev, e0.data_lba, run);
-      buffers_->pin_range(dev, e0.data_lba, j - i);
-      enqueue_writeback(dev, e0.data_lba, j - i);
+      extents.push_back({dev, e0.data_lba, e0.data_lba + (j - i)});
       i = j;
     }
   }
+  // Everything is registered before anything is queued, so the first
+  // dispatch already snapshots the newest content: one write-back per
+  // maximal contiguous run of the union, in ascending (device, LBA)
+  // order, writes each sector once.
+  std::sort(extents.begin(), extents.end());
+  std::uint64_t sectors = 0;
+  for (std::size_t k = 0; k < extents.size();) {
+    const Extent& first = extents[k];
+    disk::Lba end = first.end;
+    for (++k; k < extents.size() && extents[k].dev == first.dev && extents[k].lba <= end; ++k)
+      end = std::max(end, extents[k].end);
+    const auto count = static_cast<std::uint32_t>(end - first.lba);
+    buffers_->pin_range(first.dev, first.lba, count);
+    enqueue_writeback(first.dev, first.lba, count);
+    sectors += count;
+  }
+  return sectors;
 }
 
 // ---------------------------------------------------------------------------
@@ -1071,6 +1086,10 @@ void TrailDriver::enqueue_writeback(io::DeviceId dev, disk::Lba lba, std::uint32
     --wb_queued_ranges_;
     buffers_->mark_durable(dev, lba, *versions);
     buffers_->unpin_range(dev, lba, count);
+    // A mount writing back its recovered records resumes once the last
+    // of them settles.
+    if (on_writeback_drained_ && buffers_->pending_records() == 0)
+      std::exchange(on_writeback_drained_, {})();
   };
   io.ranges.push_back(std::move(range));
   data_queue(dev).submit(std::move(io));

@@ -68,9 +68,10 @@ struct TrailConfig {
   /// Max *requests* folded into one physical log write; 0 = unlimited.
   /// Sweeping this reproduces Table 1; 1 disables batching.
   std::uint32_t max_requests_per_physical = 0;
-  /// Recovery policy at mount (Fig. 4b): write pending records back to the
-  /// data disks before resuming, or adopt them as live state and let the
-  /// normal write-back path drain them.
+  /// Recovery policy at mount (Fig. 4b). Either way the pending records
+  /// become live state on the normal write-back path: true waits for it
+  /// to drain them before resuming, false resumes at once and lets them
+  /// drain in the background.
   bool recovery_write_back = true;
   /// Force the O(N) sequential locate during recovery (ablation).
   bool recovery_sequential_locate = false;
@@ -377,14 +378,12 @@ class TrailDriver final : public io::BlockDriver {
   /// mount_begin_async tail: run recovery (phases 1–2) when a crash was
   /// detected, then hand the finished prep to `done`.
   void finish_mount_begin(MountPrep prep, std::function<void(MountPrep)> done);
-  /// Phase-3 sink bound to the data-disk queues: single-range priority-1
-  /// batches, so the write-back scheduler coalesces adjacent runs and
-  /// CSCAN-orders the sweep.
-  [[nodiscard]] RecoveryManager::DataWriteFn make_recovery_data_write();
   /// TRAIL_AUDIT hook: run_audit(quiescent=true), dump counters into the
   /// attached metrics, throw on errors.
   void quiesce_audit(const char* where) const;
-  void adopt_recovered(std::vector<RecoveredRecord> records);
+  /// Make recovered records live state again and queue their
+  /// write-backs; returns the distinct data sectors queued.
+  std::uint64_t adopt_recovered(std::vector<RecoveredRecord> records);
   [[nodiscard]] std::uint32_t oldest_live_ptr_or(std::uint32_t fallback) const;
 
   sim::Simulator& sim_;
@@ -434,6 +433,10 @@ class TrailDriver final : public io::BlockDriver {
   /// pipeline has reads in flight; kept until the next mount or
   /// destruction so late completions stay valid.
   std::unique_ptr<RecoveryManager> recovery_;
+  /// Set while a mount waits for its recovered records to be written
+  /// back (recovery phase 3); the write-back completion that settles the
+  /// last pending record calls it once.
+  std::function<void()> on_writeback_drained_;
   sim::EventId idle_timer_;
 
   // Observability (optional; null when unattached). Histogram/gauge

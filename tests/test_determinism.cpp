@@ -5,7 +5,6 @@
 // would silently invalidate every paper-reproduction number.
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -17,6 +16,7 @@
 #include "disk/profile.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "sim/steps.hpp"
 
 namespace trail {
 namespace {
@@ -64,37 +64,35 @@ RunResult run_workload(std::uint64_t seed) {
       sim::Rng rng;
       int issued = 0;
       std::vector<std::byte> data;
-      std::function<void()> next;
     };
     auto st = std::make_shared<Proc>();
     st->rng = seeder.split();
-    st->next = [st, &sim, &driver, dev_a, dev_b, sectors, &remaining] {
-      if (st->issued >= kWritesPerProcess) {
-        --remaining;
-        const auto self = st;  // clearing next destroys this very lambda
-        self->next = nullptr;
-        return;
-      }
-      ++st->issued;
-      const auto count = static_cast<std::uint32_t>(st->rng.uniform(1, 8));
-      const auto dev = (st->rng.uniform(0, 1) == 0) ? dev_a : dev_b;
-      const auto lba = static_cast<disk::Lba>(
-          st->rng.uniform(0, static_cast<std::int64_t>(sectors - count - 1)));
-      st->data.assign(static_cast<std::size_t>(count) * disk::kSectorSize,
-                      std::byte(static_cast<std::uint8_t>(st->issued)));
-      driver.submit_write(io::BlockAddr{dev, lba}, count, st->data, [st, &sim, &driver, dev, lba] {
-        // Occasionally read back what was just written before continuing.
-        if (st->issued % 7 == 0) {
-          auto out = std::make_shared<std::vector<std::byte>>(disk::kSectorSize);
-          driver.submit_read(io::BlockAddr{dev, lba}, 1, *out, [st, out] {
-            if (st->next) st->next();
-          });
-        } else if (st->next) {
-          st->next();
-        }
-      });
-    };
-    sim.schedule(sim::micros(p), [st] { st->next(); });
+    sim.schedule(sim::micros(p), [st, &driver, dev_a, dev_b, sectors, &remaining] {
+      sim::loop_while(
+          [st] { return st->issued < kWritesPerProcess; },
+          [st, &driver, dev_a, dev_b, sectors](sim::Next next) {
+            ++st->issued;
+            const auto count = static_cast<std::uint32_t>(st->rng.uniform(1, 8));
+            const auto dev = (st->rng.uniform(0, 1) == 0) ? dev_a : dev_b;
+            const auto lba = static_cast<disk::Lba>(
+                st->rng.uniform(0, static_cast<std::int64_t>(sectors - count - 1)));
+            st->data.assign(static_cast<std::size_t>(count) * disk::kSectorSize,
+                            std::byte(static_cast<std::uint8_t>(st->issued)));
+            driver.submit_write(
+                io::BlockAddr{dev, lba}, count, st->data,
+                [issued = st->issued, &driver, dev, lba, next = std::move(next)] {
+                  // Occasionally read back what was just written before
+                  // continuing.
+                  if (issued % 7 == 0) {
+                    auto out = std::make_shared<std::vector<std::byte>>(disk::kSectorSize);
+                    driver.submit_read(io::BlockAddr{dev, lba}, 1, *out, [out, next] { next(); });
+                  } else {
+                    next();
+                  }
+                });
+          },
+          [&remaining](bool) { --remaining; });
+    });
   }
 
   while (remaining > 0) {

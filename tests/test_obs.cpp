@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -20,6 +19,7 @@
 #include "obs/obs.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "sim/steps.hpp"
 #include "sim/time.hpp"
 
 namespace trail::obs {
@@ -347,31 +347,28 @@ ObsRun run_instrumented(std::uint64_t seed) {
     sim::Rng rng;
     int issued = 0;
     std::vector<std::byte> data;
-    std::function<void()> next;
   };
   auto st = std::make_shared<Proc>();
   st->rng = sim::Rng(seed);
   bool done = false;
-  st->next = [st, &driver, dev, sectors, &done] {
-    if (st->issued >= 40) {
-      done = true;
-      return;
-    }
-    ++st->issued;
-    const auto count = static_cast<std::uint32_t>(st->rng.uniform(1, 4));
-    const auto lba = static_cast<disk::Lba>(
-        st->rng.uniform(0, static_cast<std::int64_t>(sectors - count - 1)));
-    st->data.assign(static_cast<std::size_t>(count) * disk::kSectorSize,
-                    std::byte(static_cast<std::uint8_t>(st->issued)));
-    driver.submit_write(io::BlockAddr{dev, lba}, count, st->data, [st] {
-      if (st->next) st->next();
-    });
-  };
-  sim.schedule(sim::micros(1), [st] { st->next(); });
+  sim.schedule(sim::micros(1), [st, &driver, dev, sectors, &done] {
+    sim::loop_while(
+        [st] { return st->issued < 40; },
+        [st, &driver, dev, sectors](sim::Next next) {
+          ++st->issued;
+          const auto count = static_cast<std::uint32_t>(st->rng.uniform(1, 4));
+          const auto lba = static_cast<disk::Lba>(
+              st->rng.uniform(0, static_cast<std::int64_t>(sectors - count - 1)));
+          st->data.assign(static_cast<std::size_t>(count) * disk::kSectorSize,
+                          std::byte(static_cast<std::uint8_t>(st->issued)));
+          driver.submit_write(io::BlockAddr{dev, lba}, count, st->data,
+                              [next = std::move(next)] { next(); });
+        },
+        [&done](bool) { done = true; });
+  });
   while (!done) {
     if (!sim.step()) throw std::runtime_error("obs workload stalled");
   }
-  st->next = {};  // break the st <-> next shared_ptr cycle
   bool drained = false;
   driver.drain([&] { drained = true; });
   while (!drained) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
+#include <string_view>
 
 #include "audit/log_verifier.hpp"
 #include "obs/obs.hpp"
@@ -28,6 +29,18 @@ class RecoveryTest : public TrailFixture {
                  make_pattern(sectors, seed + static_cast<std::uint64_t>(i)));
   }
 };
+
+/// Complete spans named `name` on the unsharded recovery lane.
+std::size_t recovery_spans(const obs::EventTracer& tracer, std::string_view name) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < tracer.size(); ++i) {
+    const obs::TraceEvent e = tracer.at(i);
+    if (e.ph == obs::TracePhase::kComplete && e.name == name &&
+        std::string_view(e.cat) == "recovery" && e.tid == obs::kRecoveryTid)
+      ++n;
+  }
+  return n;
+}
 
 TEST_F(RecoveryTest, CrashBeforeWritebackRecoversAll) {
   start();
@@ -233,6 +246,27 @@ TEST_F(RecoveryTest, RecoveryStatsPhasesAreTimed) {
   EXPECT_GT(rs.writeback_time.ns(), 0);
   EXPECT_EQ(rs.records_found, 12u);
   EXPECT_EQ(rs.sectors_written_back, 24u);
+}
+
+TEST_F(RecoveryTest, RecoveryPhasesAreTraced) {
+  // Fig. 4's breakdown in the trace: each phase a mount runs is one span.
+  for (const bool write_back : {true, false}) {
+    SCOPED_TRACE(write_back ? "write back" : "adopt");
+    obs::Obs obs(sim);
+    obs.tracer.set_enabled(true);
+    start();
+    write_pending(6, 1200, 2);
+    TrailConfig cfg;
+    cfg.recovery_write_back = write_back;
+    crash_and_remount(cfg, &obs);
+    EXPECT_EQ(recovery_spans(obs.tracer, "recovery.locate"), 1u);
+    EXPECT_EQ(recovery_spans(obs.tracer, "recovery.rebuild"), 1u);
+    EXPECT_EQ(recovery_spans(obs.tracer, "recovery.writeback"), write_back ? 1u : 0u);
+    settle();
+    verify_expected_on_data_disks();
+    driver->unmount();
+    driver.reset();  // detach before `obs` goes out of scope
+  }
 }
 
 TEST_F(RecoveryTest, CrashDuringRepositionLosesNothing) {
@@ -444,6 +478,9 @@ struct EquivOutcome {
   std::int64_t max_inflight_reads = 0;
   std::vector<DiskSnapshot> log_images;
   std::vector<DiskSnapshot> data_images;
+  /// Sectors the data disks wrote from the remount until data_images
+  /// were taken.
+  std::uint64_t data_sectors_written = 0;
   /// The data images the acked writes imply, applied in submission order
   /// onto never-written platters.
   std::vector<DiskSnapshot> shadow_images;
@@ -452,8 +489,10 @@ struct EquivOutcome {
 /// Deterministic workload -> crash -> remount at `depth` over `log_units`
 /// log disks; everything up to the remount is identical across calls, so
 /// any divergence in the outcome is the recovery pipeline's doing.
+/// `drain_adopted` adopts on live data disks and takes the data images
+/// after an unmount has drained the adopted records.
 EquivOutcome run_equivalence_scenario(std::uint32_t depth, bool write_back,
-                                      std::size_t log_units = 1) {
+                                      std::size_t log_units = 1, bool drain_adopted = false) {
   sim::Simulator sim;
   obs::Obs obs(sim);
   const disk::DiskProfile profile = disk::small_test_disk();
@@ -508,11 +547,13 @@ EquivOutcome run_equivalence_scenario(std::uint32_t depth, bool write_back,
   driver->crash();
   driver.reset();
   for (auto& d : log_disks) d->restart();
+  std::uint64_t data_written_before = 0;
   for (auto& d : data_disks) {
     d->restart();
     // Adopting, keep the records live past the mount: their write-backs
     // must not drain before live_record_keys() is read.
-    if (!write_back) d->crash_halt();
+    if (!write_back && !drain_adopted) d->crash_halt();
+    data_written_before += d->stats().sectors_written;
   }
 
   core::TrailConfig rcfg;
@@ -532,12 +573,26 @@ EquivOutcome run_equivalence_scenario(std::uint32_t depth, bool write_back,
     const audit::Report fsck = audit::verify_log(*log_disks[0]);
     EXPECT_TRUE(fsck.ok()) << "depth " << depth << " fsck:\n" << fsck.to_string();
   }
-  for (auto& d : data_disks) out.data_images.push_back(snapshot_disk(*d));
+  if (drain_adopted) driver->unmount();
+  for (auto& d : data_disks) {
+    out.data_images.push_back(snapshot_disk(*d));
+    out.data_sectors_written += d->stats().sectors_written;
+  }
+  out.data_sectors_written -= data_written_before;
   if (write_back)
     driver->unmount();
-  else
+  else if (!drain_adopted)
     driver->crash();  // the halted data disks could never drain
   return out;
+}
+
+/// Distinct data sectors the acked writes touched.
+std::uint64_t shadow_sector_count(const EquivOutcome& out) {
+  std::uint64_t sectors = 0;
+  for (const DiskSnapshot& shadow : out.shadow_images)
+    sectors += static_cast<std::uint64_t>(
+        std::count(shadow.written.begin(), shadow.written.end(), true));
+  return sectors;
 }
 
 /// Both depths recovered the same state, and it is the one the acked
@@ -561,12 +616,11 @@ void expect_equivalent(const EquivOutcome& d1, const EquivOutcome& d8, bool writ
   EXPECT_EQ(d1.stats.sectors_written_back, d8.stats.sectors_written_back);
   EXPECT_EQ(d1.log_images, d8.log_images) << "log images diverged";
   if (!write_back) return;
-  // The overlay writes every sector the acked writes touched, once.
-  std::uint64_t shadow_sectors = 0;
-  for (const DiskSnapshot& shadow : d8.shadow_images)
-    shadow_sectors += static_cast<std::uint64_t>(
-        std::count(shadow.written.begin(), shadow.written.end(), true));
+  // The write-back writes every sector the acked writes touched, once.
+  const std::uint64_t shadow_sectors = shadow_sector_count(d8);
   EXPECT_EQ(d8.stats.sectors_written_back, shadow_sectors);
+  EXPECT_EQ(d1.data_sectors_written, shadow_sectors);
+  EXPECT_EQ(d8.data_sectors_written, shadow_sectors);
   ASSERT_EQ(d1.data_images.size(), d1.shadow_images.size());
   for (std::size_t i = 0; i < d1.data_images.size(); ++i) {
     EXPECT_EQ(d1.data_images[i], d1.shadow_images[i]) << "depth 1, data disk " << i;
@@ -587,6 +641,20 @@ TEST(RecoveryEquivalence, PipelinedAdoptionMatchesSerial) {
   const EquivOutcome d1 = run_equivalence_scenario(1, /*write_back=*/false);
   const EquivOutcome d8 = run_equivalence_scenario(8, /*write_back=*/false);
   expect_equivalent(d1, d8, /*write_back=*/false);
+}
+
+TEST(RecoveryEquivalence, AdoptedRecordsDrainEachSectorOnce) {
+  // Adopting on live data disks, the background write-back must write
+  // each distinct sector once with its newest content, even though the
+  // same-address rewrites make the adopted records overlap.
+  const EquivOutcome out =
+      run_equivalence_scenario(8, /*write_back=*/false, /*log_units=*/1, /*drain_adopted=*/true);
+  EXPECT_EQ(out.stats.records_found, out.acked_keys.size());
+  EXPECT_EQ(out.stats.sectors_written_back, 0u) << "adopting writes nothing back at mount";
+  EXPECT_EQ(out.data_sectors_written, shadow_sector_count(out));
+  ASSERT_EQ(out.data_images.size(), out.shadow_images.size());
+  for (std::size_t i = 0; i < out.data_images.size(); ++i)
+    EXPECT_EQ(out.data_images[i], out.shadow_images[i]) << "data disk " << i;
 }
 
 TEST(RecoveryEquivalence, TwoLogUnitsMatchAcrossDepths) {

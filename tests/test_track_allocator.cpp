@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "audit/check.hpp"
 #include "core/format_tool.hpp"
 #include "core/track_allocator.hpp"
 #include "disk/profile.hpp"
@@ -141,6 +142,22 @@ TEST_F(TrackAllocatorTest, AdoptLiveTrackAndResume) {
   alloc.release_record(11);
   EXPECT_EQ(alloc.live_track_count(), 1u);
   EXPECT_THROW(alloc.adopt_live_track(0, 1, 1), std::invalid_argument);  // reserved
+}
+
+TEST_F(TrackAllocatorTest, SetTailReclaimsASettledAdoptedTail) {
+  // Recovery adopts records on the initial tail track (1) and writes them
+  // back before the mount positions the tail: the old tail has occupied
+  // sectors but no live records, so moving the tail must reclaim it.
+  alloc.adopt_live_track(1, 5, 2);
+  alloc.release_record(1);
+  alloc.release_record(1);
+  EXPECT_EQ(alloc.live_track_count(), 1u);  // still the tail
+  alloc.set_tail_after(1);
+  EXPECT_EQ(alloc.current(), 2u);
+  EXPECT_EQ(alloc.live_track_count(), 1u);  // only the new tail
+  audit::Report report;
+  alloc.audit(report);
+  EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 TEST_F(TrackAllocatorTest, SetTailAfterSkipsReserved) {

@@ -14,6 +14,7 @@
 #include "core/trail_driver.hpp"
 #include "disk/disk_device.hpp"
 #include "disk/profile.hpp"
+#include "obs/obs.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
@@ -38,9 +39,11 @@ class TrailFixture : public ::testing::Test {
     core::format_log_disk(*log_disk);
   }
 
-  /// Build + mount a driver over the existing devices.
-  void start(core::TrailConfig config = {}) {
+  /// Build + mount a driver over the existing devices, with `obs`
+  /// attached when given.
+  void start(core::TrailConfig config = {}, obs::Obs* obs = nullptr) {
     driver = std::make_unique<core::TrailDriver>(sim, *log_disk, config);
+    if (obs != nullptr) driver->attach_obs(obs);
     devices.clear();
     for (auto& d : data_disks) devices.push_back(driver->add_data_disk(*d));
     driver->mount();
@@ -75,12 +78,12 @@ class TrailFixture : public ::testing::Test {
   }
 
   /// Crash everything, restart devices, re-create driver, mount (recover).
-  void crash_and_remount(core::TrailConfig config = {}) {
+  void crash_and_remount(core::TrailConfig config = {}, obs::Obs* obs = nullptr) {
     driver->crash();
     driver.reset();
     log_disk->restart();
     for (auto& d : data_disks) d->restart();
-    start(config);
+    start(config, obs);
   }
 
   /// Every acknowledged write must now be readable back via the driver.

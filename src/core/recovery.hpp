@@ -28,11 +28,14 @@
 // Locate and rebuild run as one asynchronous pipeline (DESIGN.md §12).
 // Reads go through a per-unit io::DeviceQueue so the elevator can order
 // what is outstanding: every unit's locate runs concurrently with one
-// track scan in flight, and the rebuild streams the live arc out of a
-// read-ahead track cache. pipeline_depth bounds only the rebuild's
-// window: its demand read plus up to depth-1 tracks of prefetch; 1 means
-// no prefetch. Every depth locates identically, recovers the same pending
-// set and leaves byte-identical images.
+// track scan in flight, and the rebuild walks the chain through a cache
+// of read windows. A cached window serves a record only if it holds the
+// header and the whole payload; otherwise the walk reads a window
+// anchored at the record. The pipeline depth bounds only the rebuild's
+// prefetch: once at least half of the chain's steps so far stayed on
+// their track, a miss also reads up to depth-1 ring-backward whole
+// tracks; 1 means no prefetch. Every depth locates identically, recovers
+// the same pending set and leaves byte-identical images.
 #pragma once
 
 #include <cstdint>
@@ -91,15 +94,6 @@ class RecoveryManager {
   /// Probes used to find a binary-search anchor before falling back.
   static constexpr std::size_t kAnchorProbes = 64;
 
-  struct Options {
-    /// Force the O(N) sequential locate instead of binary search (ablation).
-    bool sequential_locate = false;
-    /// The rebuild's read window per log unit: its demand read plus up
-    /// to depth-1 ring-backward whole tracks of prefetch. 1 = no
-    /// prefetch. Locate keeps one read in flight per unit at any depth.
-    std::uint32_t pipeline_depth = 8;
-  };
-
   RecoveryManager(sim::Simulator& sim, std::vector<disk::DiskDevice*> log_disks);
   ~RecoveryManager();
 
@@ -128,7 +122,9 @@ class RecoveryManager {
   /// epoch is an upper bound and ordering uses record_key. Never steps
   /// the simulator itself, so a sharded mount can start every shard's
   /// recovery and let them interleave on virtual time.
-  void start(std::uint32_t target_epoch, const Options& options,
+  /// `sequential_locate` and `pipeline_depth` are
+  /// TrailConfig::recovery_sequential_locate and recovery_pipeline_depth.
+  void start(std::uint32_t target_epoch, bool sequential_locate, std::uint32_t pipeline_depth,
              std::function<void(Outcome)> done);
 
  private:

@@ -192,13 +192,11 @@ void TrailDriver::finish_mount_begin(MountPrep prep, std::function<void(MountPre
   // The previous epoch did not unmount cleanly: locate + rebuild (§3.3).
   // Phase 3 (write-back) waits for mount_finish_async so a sharded mount can
   // apply its cross-shard cut first.
-  RecoveryManager::Options opts;
-  opts.sequential_locate = config_.recovery_sequential_locate;
-  opts.pipeline_depth = config_.recovery_pipeline_depth;
   recovery_ = std::make_unique<RecoveryManager>(sim_, log_devices());
   recovery_->attach_obs(obs_, lanes_.metric_prefix, lanes_.recovery_tid);
   auto shared_prep = std::make_shared<MountPrep>(std::move(prep));
-  recovery_->start(shared_prep->max_epoch, opts,
+  recovery_->start(shared_prep->max_epoch, config_.recovery_sequential_locate,
+                   config_.recovery_pipeline_depth,
                    [shared_prep, done = std::move(done),
                     alive = alive_](RecoveryManager::Outcome outcome) mutable {
                      if (!*alive) return;

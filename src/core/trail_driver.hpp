@@ -75,11 +75,11 @@ struct TrailConfig {
   bool recovery_write_back = true;
   /// Force the O(N) sequential locate during recovery (ablation).
   bool recovery_sequential_locate = false;
-  /// Recovery's rebuild window per log unit
-  /// (RecoveryManager::Options::pipeline_depth): the demand read plus up
-  /// to depth-1 tracks of prefetch. 1 = no prefetch. Locate reads one
-  /// track at a time per unit at any depth; every depth recovers the
-  /// same state.
+  /// Recovery's rebuild read window per log unit: a miss reads a window
+  /// anchored at the record plus, once at least half of the chain's steps
+  /// so far stayed on their track, up to depth-1 ring-backward whole
+  /// tracks of prefetch. 1 = no prefetch. Locate reads one track at a
+  /// time per unit at any depth; every depth recovers the same state.
   std::uint32_t recovery_pipeline_depth = 8;
   /// External global-sequence source (sharding): when set, record
   /// sequence ids come from this callback instead of the driver's own

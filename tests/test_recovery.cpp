@@ -667,5 +667,89 @@ TEST(RecoveryEquivalence, TwoLogUnitsMatchAcrossDepths) {
   EXPECT_EQ(d1.max_inflight_reads, 2) << "depth 1 locates both units concurrently";
 }
 
+// ---------------------------------------------------------------------------
+// Fig. 4's layout on the paper's log disk: one record per track, so the
+// chain never stays on a track and a deeper pipeline has nothing to
+// prefetch. Depth 8 must rebuild no slower, and read no more, than depth 1.
+// ---------------------------------------------------------------------------
+
+constexpr int kPaperPrefill = 64;
+constexpr int kPaperPending = 32;
+
+struct PaperLayoutRebuild {
+  core::RecoveryStats stats;
+  std::uint64_t stream_sectors = 0;
+  std::vector<std::uint64_t> live_keys;
+};
+
+/// Prefill the ring (records written back and freed), leave
+/// kPaperPending acked records on the log behind halted data disks,
+/// crash, and remount at `depth`, adopting the records so their keys stay
+/// readable.
+PaperLayoutRebuild rebuild_at_paper_layout(std::uint32_t depth) {
+  sim::Simulator sim;
+  obs::Obs obs(sim);
+  disk::DiskDevice log_disk(sim, disk::st41601n());
+  core::format_log_disk(log_disk);
+  std::vector<std::unique_ptr<disk::DiskDevice>> data_disks;
+  for (int i = 0; i < 2; ++i)
+    data_disks.push_back(std::make_unique<disk::DiskDevice>(sim, disk::small_test_disk()));
+  auto pump = [&sim](const bool& flag) {
+    while (!flag)
+      if (!sim.step()) throw std::runtime_error("paper-layout scenario stalled");
+  };
+  auto write = [&](core::TrailDriver& driver, io::DeviceId dev, disk::Lba lba) {
+    bool acked = false;
+    driver.submit_write({dev, lba}, 1, make_pattern(1, lba), [&acked] { acked = true; });
+    pump(acked);
+  };
+
+  TrailConfig cfg;
+  cfg.track_utilization_threshold = 0.0;  // one record per track
+  cfg.max_requests_per_physical = 1;
+  auto driver = std::make_unique<core::TrailDriver>(sim, log_disk, cfg);
+  std::vector<io::DeviceId> devices;
+  for (auto& d : data_disks) devices.push_back(driver->add_data_disk(*d));
+  driver->mount();
+  for (int i = 0; i < kPaperPrefill; ++i)
+    write(*driver, devices[static_cast<std::size_t>(i) % 2], static_cast<disk::Lba>(i));
+  bool drained = false;
+  driver->drain([&drained] { drained = true; });
+  pump(drained);
+  for (auto& d : data_disks) d->crash_halt();
+  for (int i = 0; i < kPaperPending; ++i)
+    write(*driver, devices[static_cast<std::size_t>(i) % 2], static_cast<disk::Lba>(500 + i));
+  driver->crash();
+  driver.reset();
+  log_disk.restart();
+  for (auto& d : data_disks) {
+    d->restart();
+    d->crash_halt();  // the adopted records stay live past the mount
+  }
+
+  TrailConfig rcfg;
+  rcfg.recovery_pipeline_depth = depth;
+  rcfg.recovery_write_back = false;
+  driver = std::make_unique<core::TrailDriver>(sim, log_disk, rcfg);
+  driver->attach_obs(&obs);
+  for (auto& d : data_disks) (void)driver->add_data_disk(*d);
+  driver->mount();
+  PaperLayoutRebuild out;
+  out.stats = driver->last_recovery();
+  out.stream_sectors = obs.metrics.counter("recovery.stream_sectors").value();
+  out.live_keys = driver->live_record_keys();
+  driver->crash();  // the halted data disks could never drain
+  return out;
+}
+
+TEST(RecoveryPaperLayout, Depth8RebuildsNoSlowerThanDepth1) {
+  const PaperLayoutRebuild d1 = rebuild_at_paper_layout(1);
+  const PaperLayoutRebuild d8 = rebuild_at_paper_layout(8);
+  EXPECT_EQ(d1.stats.records_found, static_cast<std::uint32_t>(kPaperPending));
+  EXPECT_EQ(d8.live_keys, d1.live_keys) << "the recovered chains differ";
+  EXPECT_LE(d8.stats.rebuild_time.ms(), d1.stats.rebuild_time.ms());
+  EXPECT_LE(d8.stream_sectors, d1.stream_sectors);
+}
+
 }  // namespace
 }  // namespace trail::testing

@@ -16,12 +16,14 @@
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 
 namespace trail::audit {
 
@@ -156,5 +158,23 @@ class Report {
  private:
   std::map<std::string, Check, std::less<>> checks_;
 };
+
+/// The quiesce-point verdict shared by every layer's TRAIL_AUDIT hook:
+/// record the report's counters into `obs`'s metrics (when given), then,
+/// if any check failed, throw std::logic_error naming `who` and `where`
+/// with the report and, as post-mortem context, the last requests the
+/// flight recorder saw.
+inline void enforce(const Report& report, std::string_view who, std::string_view where,
+                    obs::Obs* obs) {
+  if (obs != nullptr) report.record_to(obs->metrics);
+  if (report.ok()) return;
+  std::string msg = std::string(who) + ": invariant audit failed at " + std::string(where) +
+                    "\n" + report.to_string();
+  if (obs != nullptr && obs->flight.size() > 0) {
+    msg += '\n';
+    msg += obs->flight.dump_tail(16);
+  }
+  throw std::logic_error(msg);
+}
 
 }  // namespace trail::audit

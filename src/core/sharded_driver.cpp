@@ -126,7 +126,6 @@ void ShardedDriver::mount() {
   gated_.clear();
   routed_sectors_.assign(shards_.size(), 0);
   routed_total_ = 0;
-  split_writes_ = 0;
   mounted_ = true;
 #if defined(TRAIL_AUDIT)
   quiesce_audit("mount");
@@ -218,10 +217,7 @@ void ShardedDriver::submit_write(io::BlockAddr addr, std::uint32_t count,
   if (count == 0) throw std::invalid_argument("ShardedDriver: zero-sector write");
 
   const std::vector<Chunk> chunks = route(addr.device, addr.lba, count);
-  if (chunks.size() > 1) {
-    ++split_writes_;
-    if (c_split_writes_ != nullptr) c_split_writes_->inc();
-  }
+  if (chunks.size() > 1 && c_split_writes_ != nullptr) c_split_writes_->inc();
   // All chunks share one countdown; the client ack fires when the last
   // chunk's (possibly gated) acknowledgement lands.
   auto remaining = std::make_shared<std::uint32_t>(static_cast<std::uint32_t>(chunks.size()));
@@ -402,16 +398,7 @@ void ShardedDriver::run_audit(audit::Report& report, bool quiescent) const {
 void ShardedDriver::quiesce_audit(const char* where) const {
   audit::Report report;
   run_audit(report, /*quiescent=*/true);
-  if (obs_ != nullptr) report.record_to(obs_->metrics);
-  if (!report.ok()) {
-    std::string msg = std::string("ShardedDriver: invariant audit failed at ") + where + "\n" +
-                      report.to_string();
-    if (obs_ != nullptr && obs_->flight.size() > 0) {
-      msg += '\n';
-      msg += obs_->flight.dump_tail(16);
-    }
-    throw std::logic_error(msg);
-  }
+  audit::enforce(report, "ShardedDriver", where, obs_);
 }
 
 }  // namespace trail::core

@@ -178,7 +178,6 @@ class ShardedDriver final : public io::BlockDriver {
   ShardedRecoveryStats last_recovery_;
   std::vector<std::uint64_t> routed_sectors_;
   std::uint64_t routed_total_ = 0;
-  std::uint64_t split_writes_ = 0;
 
   obs::Obs* obs_ = nullptr;
   obs::Gauge* g_imbalance_ = nullptr;

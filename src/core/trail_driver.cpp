@@ -472,17 +472,7 @@ void TrailDriver::run_audit(audit::Report& report, bool quiescent) const {
 void TrailDriver::quiesce_audit(const char* where) const {
   audit::Report report;
   run_audit(report, /*quiescent=*/true);
-  if (obs_ != nullptr) report.record_to(obs_->metrics);
-  if (!report.ok()) {
-    std::string msg = std::string("TrailDriver: invariant audit failed at ") + where + "\n" +
-                      report.to_string();
-    // Post-mortem context: the last requests the flight recorder saw.
-    if (obs_ != nullptr && obs_->flight.size() > 0) {
-      msg += '\n';
-      msg += obs_->flight.dump_tail(16);
-    }
-    throw std::logic_error(msg);
-  }
+  audit::enforce(report, "TrailDriver", where, obs_);
 }
 
 void TrailDriver::unmount() {
@@ -671,7 +661,10 @@ void TrailDriver::release_direct_before(std::uint64_t cookie) {
       ++it;
     }
   }
-  if (!any) return;
+  if (any) retry_full_units();
+}
+
+void TrailDriver::retry_full_units() {
   for (std::uint8_t u = 0; u < units_.size(); ++u) {
     if (!units_[u].full) continue;
     units_[u].full = false;
@@ -1021,13 +1014,7 @@ void TrailDriver::on_record_durable(RecordId id) {
   const LiveRecord rec = it->second;
   live_records_.erase(it);
   units_.at(rec.unit).allocator->release_record(rec.track);
-  // A track may have been freed: retry any stalled unit's track switch.
-  for (std::uint8_t u = 0; u < units_.size(); ++u) {
-    if (!units_[u].full) continue;
-    units_[u].full = false;
-    switch_track(u);
-  }
-  if (!pending_.empty()) service_log_queue();
+  retry_full_units();
 }
 
 void TrailDriver::enqueue_writeback(io::DeviceId dev, disk::Lba lba, std::uint32_t count) {

@@ -361,6 +361,9 @@ class TrailDriver final : public io::BlockDriver {
   void on_physical_write_done(std::uint8_t unit_id, std::uint32_t last_sector);
   void switch_track(std::uint8_t unit_id);
   void on_record_durable(RecordId id);
+  /// A track may have been freed: retry every stalled unit's track
+  /// switch, then service the log queue.
+  void retry_full_units();
   void enqueue_writeback(io::DeviceId dev, disk::Lba lba, std::uint32_t count);
   void arm_idle_timer();
   /// Nothing queued, buffered, in flight on a log unit or queued on a

@@ -116,29 +116,48 @@ void BufferPool::unpin(std::uint32_t file_id, PageNo page) {
   --f.pins;
 }
 
+void BufferPool::drop(FrameMap::iterator it) {
+  lru_.erase(it->second->lru_pos);
+  frames_.erase(it);
+  ++stats_.evictions;
+  if (c_evictions_ != nullptr) c_evictions_->inc();
+  if (g_resident_ != nullptr) g_resident_->set(static_cast<std::int64_t>(frames_.size()));
+}
+
+void BufferPool::write_back(const FrameKey& key, Frame& frame, std::function<void()> then) {
+  frame.flushing = true;
+  auto write_page = [this, alive = alive_, fp = &frame, key, gen = frame.write_gen,
+                     then = std::move(then)]() mutable {
+    if (!*alive) return;
+    files_.at(key.file)->write_page(key.page, fp->data,
+                                    [alive, fp, gen, then = std::move(then)] {
+                                      if (!*alive) return;
+                                      fp->flushing = false;
+                                      if (fp->write_gen == gen) fp->dirty = false;
+                                      then();
+                                    });
+  };
+  if (wal_ != nullptr)
+    wal_->flush_until(frame.flush_lsn, std::move(write_page));
+  else
+    write_page();
+}
+
 void BufferPool::maybe_evict() {
   while (frames_.size() > capacity_) {
     // Scan from the LRU tail for an evictable frame.
-    auto pos = lru_.end();
-    Frame* victim = nullptr;
-    FrameKey victim_key{};
+    auto victim = frames_.end();
     for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
       auto fit = frames_.find(*it);
-      Frame& f = *fit->second;
+      const Frame& f = *fit->second;
       if (f.pins > 0 || f.loading || f.flushing) continue;
-      victim = &f;
-      victim_key = *it;
-      pos = std::next(it).base();
+      victim = fit;
       break;
     }
-    if (victim == nullptr) return;  // everything pinned/in-flight: soft cap
+    if (victim == frames_.end()) return;  // everything pinned/in-flight: soft cap
 
-    if (!victim->dirty) {
-      lru_.erase(pos);
-      frames_.erase(victim_key);
-      ++stats_.evictions;
-      if (c_evictions_ != nullptr) c_evictions_->inc();
-      if (g_resident_ != nullptr) g_resident_->set(static_cast<std::int64_t>(frames_.size()));
+    if (!victim->second->dirty) {
+      drop(victim);
       continue;
     }
     // Dirty victim: honour the WAL rule, write it back, then drop it.
@@ -148,34 +167,16 @@ void BufferPool::maybe_evict() {
       if (obs_->tracer.enabled())
         obs_->tracer.instant("db.evict_dirty", "db", obs::kDbCacheTid);
     }
-    victim->flushing = true;
-    Frame* fp = victim;
-    const FrameKey key = victim_key;
-    const std::uint64_t gen = fp->write_gen;
-    auto alive = alive_;
-    auto write_page = [this, alive, fp, key, gen] {
-      if (!*alive) return;
-      files_.at(key.file)->write_page(key.page, fp->data, [this, alive, fp, key, gen] {
-        if (!*alive) return;
-        fp->flushing = false;
-        if (fp->write_gen == gen) fp->dirty = false;
-        // Drop it now unless someone touched it meanwhile.
-        auto it = frames_.find(key);
-        if (it != frames_.end() && it->second.get() == fp && !fp->dirty && fp->pins == 0 &&
-            !fp->loading) {
-          lru_.erase(fp->lru_pos);
-          frames_.erase(it);
-          ++stats_.evictions;
-          if (c_evictions_ != nullptr) c_evictions_->inc();
-          if (g_resident_ != nullptr) g_resident_->set(static_cast<std::int64_t>(frames_.size()));
-        }
-        maybe_evict();
-      });
-    };
-    if (wal_ != nullptr)
-      wal_->flush_until(fp->flush_lsn, write_page);
-    else
-      write_page();
+    const FrameKey key = victim->first;
+    Frame* fp = victim->second.get();
+    write_back(key, *fp, [this, key, fp] {
+      // Drop it now unless someone touched it meanwhile.
+      auto it = frames_.find(key);
+      if (it != frames_.end() && it->second.get() == fp && !fp->dirty && fp->pins == 0 &&
+          !fp->loading)
+        drop(it);
+      maybe_evict();
+    });
     return;  // the rest of the eviction continues asynchronously
   }
 }
@@ -190,25 +191,9 @@ void BufferPool::flush_dirty(std::function<void()> done) {
     if (!frame->dirty || frame->pins > 0 || frame->loading || frame->flushing) continue;
     ++join->pending;
     ++stats_.checkpoint_writes;
-    Frame* fp = frame.get();
-    fp->flushing = true;
-    PageFile* file = files_.at(key.file);
-    const PageNo page_no = key.page;
-    const std::uint64_t gen = fp->write_gen;
-    auto alive = alive_;
-    auto write_page = [alive, file, page_no, fp, gen, join] {
-      if (!*alive) return;
-      file->write_page(page_no, fp->data, [alive, fp, gen, join] {
-        if (!*alive) return;
-        fp->flushing = false;
-        if (fp->write_gen == gen) fp->dirty = false;
-        if (--join->pending == 0 && join->done) join->done();
-      });
-    };
-    if (wal_ != nullptr)
-      wal_->flush_until(fp->flush_lsn, write_page);
-    else
-      write_page();
+    write_back(key, *frame, [join] {
+      if (--join->pending == 0 && join->done) join->done();
+    });
   }
   if (join->pending == 0 && join->done) join->done();
 }

@@ -8,7 +8,8 @@
 //  * NO-STEAL: frames pinned by an in-flight transaction are never
 //    evicted or checkpoint-flushed, so pages on disk only ever contain
 //    committed data and crash recovery is redo-only.
-//  * WAL rule: evicting a dirty frame flushes the WAL first.
+//  * WAL rule: every page write (eviction or checkpoint) flushes the WAL
+//    through the frame's flush LSN first.
 #pragma once
 
 #include <cstdint>
@@ -107,15 +108,23 @@ class BufferPool {
     std::list<FrameKey>::iterator lru_pos;
   };
 
+  using FrameMap = std::unordered_map<FrameKey, std::unique_ptr<Frame>, FrameKeyHash>;
+
   void touch(const FrameKey& key, Frame& frame);
   void maybe_evict();
+  /// Evict a resident frame and count it.
+  void drop(FrameMap::iterator it);
+  /// The one page write (eviction and checkpoint): mark the frame
+  /// flushing, flush the WAL through its flush_lsn, write the page, clear
+  /// `dirty` unless a mark_dirty raced the write, then run `then`.
+  void write_back(const FrameKey& key, Frame& frame, std::function<void()> then);
   Frame& frame_at(std::uint32_t file_id, PageNo page);
 
   sim::Simulator& sim_;
   std::size_t capacity_;
   LogManager* wal_;
   std::vector<PageFile*> files_;
-  std::unordered_map<FrameKey, std::unique_ptr<Frame>, FrameKeyHash> frames_;
+  FrameMap frames_;
   std::list<FrameKey> lru_;  // front = most recent
   BufferPoolStats stats_;
   obs::Obs* obs_ = nullptr;

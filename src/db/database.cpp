@@ -108,18 +108,22 @@ void Txn::remove(TableId table, Key key, std::function<void(bool)> cb) {
 Database::Database(sim::Simulator& sim, io::BlockDriver& driver, io::DeviceId log_device,
                    DbConfig config)
     : sim_(sim), driver_(driver), log_device_(log_device), config_(config) {
+  open_log(0, kMetaSectors);  // the log region follows the meta page
+  locks_ = std::make_unique<LockManager>(sim_, config_.lock_timeout);
+  alloc_cursor_[log_device.index()] =
+      kMetaSectors + config_.log_region_sectors;  // tables may share the log device
+}
+
+void Database::open_log(disk::Lba meta_base, disk::Lba wal_base) {
+  meta_base_ = meta_base;
+  wal_base_ = wal_base;
   WalConfig wal_config;
-  wal_config.region_base = io::BlockAddr{log_device, kMetaSectors};  // after the meta page
+  wal_config.region_base = io::BlockAddr{log_device_, wal_base};
   wal_config.region_sectors = config_.log_region_sectors;
   wal_config.group_commit = config_.group_commit;
   wal_config.group_commit_bytes = config_.log_buffer_bytes;
   wal_ = std::make_unique<LogManager>(sim_, driver_, wal_config);
   pool_ = std::make_unique<BufferPool>(sim_, config_.buffer_pool_pages, wal_.get());
-  locks_ = std::make_unique<LockManager>(sim_, config_.lock_timeout);
-  meta_base_ = 0;
-  wal_base_ = kMetaSectors;
-  alloc_cursor_[log_device.index()] =
-      kMetaSectors + config_.log_region_sectors;  // tables may share the log device
 }
 
 void Database::attach_filesystem(io::DeviceId id, fs::Filesystem& filesystem) {
@@ -129,25 +133,11 @@ void Database::attach_filesystem(io::DeviceId id, fs::Filesystem& filesystem) {
   if (id.index() != log_device_.index()) return;
 
   // Move the WAL + meta page into files. Reopen them if they exist.
-  auto file_or_create = [&filesystem](const std::string& name, std::uint64_t sectors) {
-    if (const auto existing = filesystem.open(name)) return *existing;
-    return filesystem.create_offline(name, sectors);
-  };
-  const fs::FileInfo meta = file_or_create("db.meta", kMetaSectors);
-  const fs::FileInfo wal = file_or_create("wal.log", config_.log_region_sectors);
-  meta_base_ = meta.base;
-  wal_base_ = wal.base;
-
-  WalConfig wal_config;
-  wal_config.region_base = io::BlockAddr{log_device_, wal.base};
-  wal_config.region_sectors = config_.log_region_sectors;
-  wal_config.group_commit = config_.group_commit;
-  wal_config.group_commit_bytes = config_.log_buffer_bytes;
-  wal_ = std::make_unique<LogManager>(sim_, driver_, wal_config);
+  const disk::Lba meta_base = carve("db.meta", kMetaSectors, id);
+  open_log(meta_base, carve("wal.log", config_.log_region_sectors, id));
   wal_->set_grow_hook([&filesystem](std::uint64_t new_sectors, std::function<void()> done) {
     filesystem.record_append("wal.log", new_sectors, std::move(done));
   });
-  pool_ = std::make_unique<BufferPool>(sim_, config_.buffer_pool_pages, wal_.get());
 }
 
 void Database::attach_device(io::DeviceId id, disk::DiskDevice& device) {
@@ -172,23 +162,8 @@ TableId Database::create_table(const std::string& name, std::uint32_t row_size,
   const PageNo pages =
       static_cast<PageNo>((capacity_rows + slots_per_page - 1) / slots_per_page);
 
-  disk::Lba base_lba;
-  if (auto fit = filesystems_.find(device.index()); fit != filesystems_.end()) {
-    const std::string file_name = "tbl." + name;
-    if (const auto existing = fit->second->open(file_name)) {
-      base_lba = existing->base;
-    } else {
-      base_lba = fit->second
-                     ->create_offline(file_name,
-                                      static_cast<std::uint64_t>(pages) * kSectorsPerPage)
-                     .base;
-    }
-  } else {
-    disk::Lba& cursor = alloc_cursor_[device.index()];  // starts at 0 for data devices
-    base_lba = cursor;
-    cursor += static_cast<disk::Lba>(pages) * kSectorsPerPage;
-  }
-  const io::BlockAddr base{device, base_lba};
+  const io::BlockAddr base{
+      device, carve("tbl." + name, static_cast<std::uint64_t>(pages) * kSectorsPerPage, device)};
 
   auto file = std::make_unique<PageFile>(driver_, base, pages);
   const std::uint32_t pool_file = pool_->register_file(*file);
@@ -204,12 +179,16 @@ TableId Database::create_table(const std::string& name, std::uint32_t row_size,
 
 disk::Lba Database::allocate_region(const std::string& name, std::uint64_t sectors,
                                     io::DeviceId device) {
+  return carve("reg." + name, sectors, device);
+}
+
+disk::Lba Database::carve(const std::string& file_name, std::uint64_t sectors,
+                          io::DeviceId device) {
   if (auto fit = filesystems_.find(device.index()); fit != filesystems_.end()) {
-    const std::string file_name = "reg." + name;
     if (const auto existing = fit->second->open(file_name)) return existing->base;
     return fit->second->create_offline(file_name, sectors).base;
   }
-  disk::Lba& cursor = alloc_cursor_[device.index()];
+  disk::Lba& cursor = alloc_cursor_[device.index()];  // starts at 0 for data devices
   const disk::Lba base = cursor;
   cursor += sectors;
   return base;
@@ -477,21 +456,10 @@ Database::RecoveryReport Database::recover() {
   }
 
   // Resume the WAL where the valid log ends.
-  if (direct_trail_ != nullptr) {
-    wal_->restore_direct(log_end);
-    // Records at or below the replayed end stay live until the next
-    // checkpoint truncates; nothing to do here.
-  } else {
-    // The partial tail sector's bytes are re-buffered so the next flush
-    // rewrites it coherently.
-    const Lsn tail_base = log_end / disk::kSectorSize * disk::kSectorSize;
-    std::vector<std::byte> tail(
-        log_bytes.begin() +
-            static_cast<std::ptrdiff_t>(tail_base - start_sector * disk::kSectorSize),
-        log_bytes.begin() +
-            static_cast<std::ptrdiff_t>(log_end - start_sector * disk::kSectorSize));
-    wal_->restore(log_end, std::move(tail));
-  }
+  const Lsn tail_base = log_end / disk::kSectorSize * disk::kSectorSize;
+  wal_->restore(log_end, std::span<const std::byte>(log_bytes).subspan(
+                             static_cast<std::size_t>(tail_base - start_sector * disk::kSectorSize),
+                             static_cast<std::size_t>(log_end - tail_base)));
 #if defined(TRAIL_AUDIT)
   quiesce_audit("recover");
 #endif
@@ -516,9 +484,7 @@ void Database::run_audit(audit::Report& report, bool quiescent) const {
 void Database::quiesce_audit(const char* where) const {
   audit::Report report;
   run_audit(report, /*quiescent=*/true);
-  if (!report.ok())
-    throw std::logic_error(std::string("Database: invariant audit failed at ") + where +
-                           "\n" + report.to_string());
+  audit::enforce(report, "Database", where, nullptr);
 }
 
 }  // namespace trail::db

@@ -187,6 +187,13 @@ class Database {
   void finish_commit_at(Lsn lsn, TxnId id, std::function<void(bool)> done);
   void release(Txn& txn);
   void maybe_auto_checkpoint();
+  /// Build the WAL over [wal_base, +log_region_sectors) of the log device
+  /// and the buffer pool that enforces its WAL rule; the meta page sits
+  /// at `meta_base`.
+  void open_log(disk::Lba meta_base, disk::Lba wal_base);
+  /// Base LBA of `sectors` on `device`: the named file when a filesystem
+  /// is attached (reopened if it exists), else the next raw extent.
+  disk::Lba carve(const std::string& file_name, std::uint64_t sectors, io::DeviceId device);
   void write_meta(Lsn checkpoint_lsn, std::function<void()> done);
   /// TRAIL_AUDIT hook: run_audit(quiescent=true), throw on errors.
   void quiesce_audit(const char* where) const;

@@ -256,26 +256,18 @@ void LogManager::start_flush() {
   }
 }
 
-void LogManager::restore_direct(Lsn lsn) {
-  next_lsn_ = lsn;
-  durable_lsn_ = lsn;
-  buffer_.clear();
-  buffer_base_ = lsn;
-  flush_in_flight_ = false;
-  waiters_.clear();
-  deferred_commits_.clear();
-}
-
-void LogManager::restore(Lsn lsn, std::vector<std::byte> tail) {
-  const Lsn tail_base = lsn / disk::kSectorSize * disk::kSectorSize;
-  if (tail.size() != lsn - tail_base)
+void LogManager::restore(Lsn lsn, std::span<const std::byte> sector_tail) {
+  if (sector_tail.size() != lsn % disk::kSectorSize)
     throw std::invalid_argument("LogManager::restore: tail size mismatch");
   next_lsn_ = lsn;
   durable_lsn_ = lsn;
-  buffer_ = std::move(tail);
-  buffer_base_ = tail_base;
+  // Direct appends are byte-granular: nothing is re-buffered.
+  const std::size_t keep = direct_mode() ? 0 : sector_tail.size();
+  buffer_.assign(sector_tail.end() - static_cast<std::ptrdiff_t>(keep), sector_tail.end());
+  buffer_base_ = lsn - keep;
   flush_in_flight_ = false;
   waiters_.clear();
+  deferred_commits_.clear();
 }
 
 void LogManager::audit(audit::Report& report, bool quiescent) const {

@@ -135,13 +135,13 @@ class LogManager {
   [[nodiscard]] const WalStats& stats() const { return stats_; }
 
   /// Reset positions after offline recovery: the log is durable through
-  /// `lsn`; `tail` holds the bytes of the partially-filled final sector
-  /// ([lsn/512*512, lsn)) so the next flush rewrites it coherently.
-  void restore(Lsn lsn, std::vector<std::byte> tail);
-
-  /// Restore for direct mode: appends are byte-granular, so no tail sector
-  /// is re-buffered.
-  void restore_direct(Lsn lsn);
+  /// `lsn`, and `sector_tail` holds the log's bytes in
+  /// [lsn/512*512, lsn). The tail rule: the buffer restarts at the tail
+  /// base, which is `lsn` itself in direct mode (appends are
+  /// byte-granular, so nothing is re-buffered) and the start of `lsn`'s
+  /// sector otherwise (the partial sector is re-buffered so the next
+  /// flush rewrites it coherently).
+  void restore(Lsn lsn, std::span<const std::byte> sector_tail);
 
   /// Truncate: records below `lsn` are no longer needed (post-checkpoint).
   /// In direct mode this releases the corresponding Trail records.

@@ -4,8 +4,8 @@
 // counters; this module provides the HdrHistogram-style substrate for
 // them: named counters, gauges, and fixed-bucket log-scale histograms
 // with O(1) record, exact count/sum/min/max, and p50/p90/p99 without
-// retaining samples (sim::Summary keeps every value instead; the TPC-C
-// driver's response times and bench_ablations use it).
+// retaining samples. It is the one latency-distribution type: the TPC-C
+// driver's response times and bench_ablations record into it too.
 //
 // Threading: every primitive here is a plain-integer cell owned by the
 // simulation thread, which is the only thread that records, registers

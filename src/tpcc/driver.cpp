@@ -38,12 +38,12 @@ BenchResult Driver::run_internal(std::uint64_t total_txns, bool record) {
           runner->run_mixed([&sim, &result, &completed, record, t0, next](TxnResult r) {
             if (record) {
               const sim::Duration response = sim.now() - t0;
-              result.response_ms.add(response);
+              result.response.record(response);
               if (r.committed) {
                 ++result.committed;
                 if (r.type == TxnType::kNewOrder) {
                   ++result.new_order_commits;
-                  result.new_order_response_ms.add(response);
+                  result.new_order_response.record(response);
                 }
               } else if (r.user_abort) {
                 ++result.user_aborts;

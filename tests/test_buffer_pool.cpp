@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "db/buffer_pool.hpp"
 #include "db/page_file.hpp"
+#include "db/wal.hpp"
 #include "disk/disk_device.hpp"
 #include "disk/profile.hpp"
 #include "io/standard_driver.hpp"
@@ -184,6 +187,121 @@ TEST_F(BufferPoolTest, ResetDropsEverything) {
   EXPECT_EQ(pool->resident_pages(), 0u);
   // Dirty content was discarded (host crash semantics).
   with_page(1, [&](std::span<std::byte> p) { EXPECT_NE(p[0], std::byte{0x55}); });
+}
+
+// WAL rule on both page-write routes: a dirty page reaches the driver
+// only once the WAL is durable through the frame's flush LSN. The driver
+// wrapper notes the WAL's durable LSN at the moment each data-page write
+// is submitted.
+class RecordingDriver : public io::BlockDriver {
+ public:
+  struct PageWrite {
+    disk::Lba lba;
+    Lsn durable_at_submit;
+  };
+
+  explicit RecordingDriver(io::BlockDriver& inner) : inner_(inner) {}
+
+  void watch(io::DeviceId data_device, const LogManager& wal) {
+    data_device_ = data_device;
+    wal_ = &wal;
+  }
+
+  void submit_write(io::BlockAddr addr, std::uint32_t count, std::span<const std::byte> data,
+                    Completion cb) override {
+    if (wal_ != nullptr && addr.device == data_device_)
+      writes.push_back(PageWrite{addr.lba, wal_->durable_lsn()});
+    inner_.submit_write(addr, count, data, std::move(cb));
+  }
+  void submit_read(io::BlockAddr addr, std::uint32_t count, std::span<std::byte> out,
+                   Completion cb) override {
+    inner_.submit_read(addr, count, out, std::move(cb));
+  }
+  void drain(Completion cb) override { inner_.drain(std::move(cb)); }
+
+  /// The durable LSN noted when `page`'s write was submitted, if it was.
+  [[nodiscard]] std::optional<Lsn> durable_at(PageNo page) const {
+    for (const PageWrite& w : writes)
+      if (w.lba == static_cast<disk::Lba>(page) * kSectorsPerPage) return w.durable_at_submit;
+    return std::nullopt;
+  }
+
+  std::vector<PageWrite> writes;
+
+ private:
+  io::BlockDriver& inner_;
+  io::DeviceId data_device_;
+  const LogManager* wal_ = nullptr;
+};
+
+class BufferPoolWalRuleTest : public ::testing::Test {
+ protected:
+  BufferPoolWalRuleTest() {
+    log_dev = std::make_unique<disk::DiskDevice>(sim, disk::wd_caviar_10g());
+    data_dev = std::make_unique<disk::DiskDevice>(sim, disk::wd_caviar_10g());
+    const io::DeviceId log_id = inner.add_device(*log_dev);
+    const io::DeviceId data_id = inner.add_device(*data_dev);
+    WalConfig config;
+    config.region_base = io::BlockAddr{log_id, 0};
+    config.region_sectors = 1024;
+    wal = std::make_unique<LogManager>(sim, driver, config);
+    driver.watch(data_id, *wal);
+    pool = std::make_unique<BufferPool>(sim, 4, wal.get());
+    file = std::make_unique<PageFile>(driver, io::BlockAddr{data_id, 0}, 64);
+    fid = pool->register_file(*file);
+  }
+
+  void load(PageNo page) {
+    bool done = false;
+    pool->fetch(fid, page, [&](std::span<std::byte>) { done = true; });
+    while (!done) ASSERT_TRUE(sim.step());
+  }
+
+  /// Log a record, dirty `page` under it and return the frame's flush
+  /// LSN (everything appended so far).
+  Lsn dirty_under_new_record(PageNo page) {
+    load(page);
+    WalRecord rec;
+    rec.type = WalRecordType::kCommit;
+    rec.txn = page;
+    wal->append(rec);
+    pool->mark_dirty(fid, page);
+    return wal->next_lsn();
+  }
+
+  sim::Simulator sim;
+  io::StandardDriver inner;
+  RecordingDriver driver{inner};
+  std::unique_ptr<disk::DiskDevice> log_dev;
+  std::unique_ptr<disk::DiskDevice> data_dev;
+  std::unique_ptr<LogManager> wal;
+  std::unique_ptr<BufferPool> pool;
+  std::unique_ptr<PageFile> file;
+  std::uint32_t fid{};
+};
+
+TEST_F(BufferPoolWalRuleTest, EvictionWritesPageOnlyAfterWalIsDurable) {
+  const Lsn flush_lsn = dirty_under_new_record(1);
+  ASSERT_LT(wal->durable_lsn(), flush_lsn) << "the record must still be buffered";
+  for (PageNo p = 10; p < 16; ++p) load(p);  // page 1 becomes the dirty victim
+  sim.run();
+  ASSERT_EQ(pool->stats().dirty_writebacks, 1u);
+  const auto durable = driver.durable_at(1);
+  ASSERT_TRUE(durable.has_value()) << "the victim was never written back";
+  EXPECT_GE(*durable, flush_lsn);
+}
+
+TEST_F(BufferPoolWalRuleTest, CheckpointWritesPageOnlyAfterWalIsDurable) {
+  const Lsn flush_lsn = dirty_under_new_record(2);
+  ASSERT_LT(wal->durable_lsn(), flush_lsn) << "the record must still be buffered";
+  bool flushed = false;
+  pool->flush_dirty([&] { flushed = true; });
+  while (!flushed) ASSERT_TRUE(sim.step());
+  ASSERT_EQ(pool->stats().checkpoint_writes, 1u);
+  const auto durable = driver.durable_at(2);
+  ASSERT_TRUE(durable.has_value()) << "the checkpoint never wrote the page";
+  EXPECT_GE(*durable, flush_lsn);
+  EXPECT_EQ(pool->dirty_pages(), 0u);
 }
 
 }  // namespace
